@@ -5,10 +5,10 @@ Subcommands: ``spectrum`` (eigenvalues of a graph file), ``check``
 the extremal graph), ``bound`` (closed-form bounds), ``verify``
 (exhaustive certification, by partite sizes or by order).
 
-Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse error, 3 numeric
-failure, 4 bad parameters, 5 budget exceeded.  Machine output is JSON
-(``--csv`` switches the verify statistics to CSV); every JSON document
-carries ``"schema": 1``.
+Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse or I/O error,
+3 numeric failure, 4 bad parameters, 5 budget exceeded.  Machine output is
+JSON (``--csv`` switches the verify statistics to CSV); every JSON
+document carries ``"schema": 1``.
 """
 
 from __future__ import annotations
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
         if args.command == "verify" and args.mode == "sizes" and args.b is None:
             raise BadParamsError("verify sizes takes r and s")
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ConvergenceFailureError as exc:

@@ -21,6 +21,7 @@ from .errors import (
     DuplicateEdgeError,
     NotBipartiteError,
     SelfLoopError,
+    SgraphError,
     UnderlyingGraphMismatchError,
     VertexOutOfRangeError,
 )
@@ -384,8 +385,10 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
         return None
     cycle = _extract_negative_cycle(g, best_walk)
     witness = CycleWitness.from_vertices(g, cycle)
-    assert witness.sign == -1
-    assert witness.is_chordless(g), "shortest negative cycle must be induced"
+    if witness.sign != -1:
+        raise SgraphError(f"cycle {witness.vertices} found as negative is positive")
+    if not witness.is_chordless(g):
+        raise SgraphError(f"shortest negative cycle {witness.vertices} has a chord")
     return witness
 
 
@@ -655,5 +658,6 @@ def canonical_key(g: SignedGraph):
 
     perm_set: set[int] = set()
     search([], [], list(range(n)), [1] * n)
-    assert best is not None
+    if best is None:
+        raise SgraphError("canonical labeling search found no labeling")
     return (n, tuple(best))

@@ -37,7 +37,7 @@ class UnderlyingGraphMismatchError(SgraphError, ValueError):
 
 
 class ConvergenceFailureError(SgraphError, ArithmeticError):
-    """The eigenvalue iteration exceeded its sweep budget."""
+    """The eigensolver failed or returned an inaccurate result."""
 
 
 class NotEquitableError(SgraphError, ValueError):

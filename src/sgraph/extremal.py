@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Bipartition, SignedGraph
-from .errors import BadParamsError, StructureCheckError
+from .errors import BadParamsError, SgraphError, StructureCheckError
 from .spectral import (
     VertexPartition,
     adjacency_matrix,
@@ -77,7 +77,8 @@ def bound_fixed_sizes(r: int, s: int) -> float:
     bipartite graphs with partite sizes (r, s)."""
     c, d = _coeffs(r, s)
     disc = c * c - 4 * d
-    assert disc >= 0, "quartic discriminant is a difference of real squares"
+    if disc < 0:  # a difference of real squares, so never negative
+        raise SgraphError(f"quartic discriminant {disc} is negative")
     return math.sqrt((c + math.sqrt(disc)) / 2.0)
 
 
@@ -93,7 +94,7 @@ def bound_fixed_order(n: int) -> float:
     """Sharp bound over all partite splits of an order-n graph (n >= 6).
 
     Closed forms differ by parity; both agree with the fixed-sizes bound
-    at the balanced split (floor(n/2), ceil(n/2)), which is asserted.
+    at the balanced split (floor(n/2), ceil(n/2)), which is checked.
     """
     if n < 6:
         raise BadParamsError(f"order bound needs n >= 6, got {n}")
@@ -103,7 +104,10 @@ def bound_fixed_order(n: int) -> float:
         t = n * n - 4 * n + 11
         value = math.sqrt((t + math.sqrt(t * t - 64 * (n - 2) * (n - 4))) / 8.0)
     balanced_split = bound_fixed_sizes(n // 2, n - n // 2)
-    assert abs(value - balanced_split) <= 1e-12
+    if abs(value - balanced_split) > 1e-12:
+        raise SgraphError(
+            f"order bound {value!r} differs from the balanced split's {balanced_split!r}"
+        )
     return value
 
 

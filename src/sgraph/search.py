@@ -1,24 +1,41 @@
 """Exhaustive and randomized verification of the extremal bounds.
 
 Enumeration unit: (underlying bipartite graph, switching class).  For a
-fixed left side 0..r-1 and right side r..r+s-1, underlying graphs are the
-2^(r*s) subsets of complete-bipartite edge slots; on each, switching
-classes are walked by fixing the BFS spanning forest all-positive and
-iterating sign bits over the co-tree edges only (2^(m-n+c) classes, one
-per class).  The all-positive assignment is the balanced class and is
-skipped; a class is admissible when it is unbalanced and every 4-cycle
-has positive sign, which is a parity test on the co-tree bits.
+fixed left side 0..r-1 and right side r..r+s-1, an underlying graph is an
+edge mask over the r*s complete-bipartite slots; bit a*s + b is the edge
+(a, r + b), so row a of the mask is the s-bit neighbourhood of left vertex
+a.  On each graph, switching classes are walked by fixing the BFS spanning
+forest all-positive and putting sign bits on the co-tree edges only
+(2^(m-n+c) classes, one per class).  The all-positive assignment is the
+balanced class and is skipped; a class is admissible when it is unbalanced
+and every 4-cycle has positive sign.  The 4-cycle condition is a linear
+system over GF(2) in the co-tree bits, so the admissible classes are the
+nonzero vectors of its solution space, listed from a basis.  The
+randomized sampler draws from the same solution space.
+
+The exhaustive search visits one mask per orbit of the left-vertex
+permutations: the numerically smallest, whose rows read as s-bit integers
+satisfy row 0 >= row 1 >= ... .  ``itertools.combinations_with_replacement``
+lists exactly these masks, in increasing order.  A row permutation is a
+graph isomorphism, so every counter of an orbit minimum is multiplied by
+the orbit size r!/prod(mult!) and the totals equal those of the full
+2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the r x s
+signed biadjacency matrix B, solved by numpy on stacks of classes.
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
-switching isomorphism, and certify against the closed-form bounds.  Work
-can be partitioned by underlying-graph index ranges across processes;
-counters and results are merged deterministically, so the parallelism
-width never changes the output.
+switching isomorphism, and certify against the closed-form bounds.  The
+maximizers are closed under row permutations, so the first one of each
+class in (mask, bits) order lies on an orbit minimum and the witnesses are
+those a scan of the full cube would report.  Work can be partitioned into
+ranges of the orbit-minimum stream across processes; counters and results
+are merged deterministically, so the parallelism width never changes the
+output.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -26,18 +43,27 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import Pool
-from typing import Callable
+from typing import Callable, Iterable
 
-from . import eigen, sgio
-from .core import SignedGraph, component_count, switching_isomorphic
-from .errors import BadParamsError, BudgetExceededError
+import numpy as np
+
+from . import sgio
+from .core import (
+    SignedGraph,
+    component_count,
+    has_negative_c4,
+    is_balanced,
+    switching_isomorphic,
+)
+from .errors import BadParamsError, BudgetExceededError, SgraphError
 from .extremal import bound_fixed_order, bound_fixed_sizes, extremal_graph
-from .spectral import graph_spectrum
+from .spectral import graph_spectrum, symmetric_eigenvalues
 
 DEFAULT_EXHAUSTIVE_RS = 16  # beyond this the stretch flag is required
 HARD_BUDGET_RS = 20
 WINDOW = 1e-9  # maximizer retention window around the observed max
 BOUND_TOL = 1e-8  # certificate tolerance against the closed-form bound
+SOLVE_BLOCK = 256  # classes per stacked eigensolve; keeps its temporaries small
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -52,10 +78,8 @@ class SearchSpace:
     s: int
     connected_only: bool = False
     canonical_underlying: bool = False
-    merge_transposes: bool = False
     jobs: int = 1
     stretch: bool = False
-    max_rs: int = HARD_BUDGET_RS
     window: float = WINDOW
     prune_below: float | None = None
 
@@ -71,9 +95,9 @@ class SearchSpace:
 
     def check_budget(self) -> None:
         rs = self.r * self.s
-        if rs > self.max_rs:
+        if rs > HARD_BUDGET_RS:
             raise BudgetExceededError(
-                f"r*s = {rs} exceeds the hard budget {self.max_rs}"
+                f"r*s = {rs} exceeds the hard budget {HARD_BUDGET_RS}"
             )
         if rs > DEFAULT_EXHAUSTIVE_RS and not self.stretch:
             raise BudgetExceededError(
@@ -137,23 +161,12 @@ class _Context:
     def __init__(self, r: int, s: int):
         self.r, self.s, self.n = r, s, r + s
         self.slots = [(a, r + b) for a in range(r) for b in range(s)]
-        # all 4-cycles of the complete template: two left x two right vertices
-        quads = []
-        for a1 in range(r):
-            for a2 in range(a1 + 1, r):
-                for b1 in range(s):
-                    for b2 in range(b1 + 1, s):
-                        e = (a1 * s + b1, a1 * s + b2, a2 * s + b1, a2 * s + b2)
-                        quads.append((sum(1 << i for i in e), e))
-        self.quads = quads
         self._colperm_tables: list[list[int]] | None = None
 
     def colperm_tables(self) -> list[list[int]]:
         """For every column permutation, a lookup from an s-bit row pattern
         to its permuted pattern (used by the canonical-underlying filter)."""
         if self._colperm_tables is None:
-            import itertools
-
             s = self.s
             tables = []
             for perm in itertools.permutations(range(s)):
@@ -168,41 +181,72 @@ class _Context:
             self._colperm_tables = tables
         return self._colperm_tables
 
+    def admissible_class(
+        self, mask: int, bits: int, cotree: list[int]
+    ) -> AdmissibleClass:
+        return AdmissibleClass(
+            self.r,
+            self.s,
+            mask,
+            bits,
+            tuple(self.slots[i] for i in _bit_list(mask)),
+            tuple(self.slots[i] for i in cotree),
+        )
+
 
 def _rows_of(mask: int, r: int, s: int) -> list[int]:
     full = (1 << s) - 1
     return [(mask >> (a * s)) & full for a in range(r)]
 
 
-def _is_canonical_underlying(mask: int, ctx: _Context, merge_transposes: bool) -> bool:
-    """True when mask is the minimum of its orbit under side-respecting
-    relabelings (row and column permutations; optionally transposition
-    when r == s)."""
+def _is_canonical_underlying(mask: int, ctx: _Context) -> bool:
+    """True when no column permutation makes the sorted row multiset of
+    mask smaller.  Row order is ignored, so the answer is the same for
+    every mask of a row-permutation orbit."""
     rows = _rows_of(mask, ctx.r, ctx.s)
     base = tuple(sorted(rows))
-    variants = [rows]
-    if merge_transposes and ctx.r == ctx.s:
-        # transpose: bit (a, b) -> (b, a)
-        t_rows = [0] * ctx.s
-        for a, row in enumerate(rows):
-            for b in range(ctx.s):
-                if row >> b & 1:
-                    t_rows[b] |= 1 << a
-        variants.append(t_rows)
-    for var in variants:
-        for table in ctx.colperm_tables():
-            if tuple(sorted(table[row] for row in var)) < base:
-                return False
+    for table in ctx.colperm_tables():
+        if tuple(sorted(table[row] for row in rows)) < base:
+            return False
     return True
 
 
-def _forest_and_cotree(mask: int, ctx: _Context):
+def _orbit_minima(
+    r: int, s: int, lo: int, hi: int | None
+) -> Iterable[tuple[int, int]]:
+    """(mask, orbit size) for the row-sorted masks of rank lo..hi-1.
+
+    Ranks follow increasing mask order; the orbit size under row
+    permutations is r! / prod(mult!) over the multiplicities of equal rows.
+    """
+    r_fact = math.factorial(r)
+    for rows in itertools.islice(
+        itertools.combinations_with_replacement(range(1 << s), r), lo, hi
+    ):
+        # rows ascend, so rows[0] lands in the most significant row (r - 1)
+        mask = 0
+        weight = r_fact
+        run = 0
+        prev = -1
+        for row in rows:
+            mask = mask << s | row
+            run = run + 1 if row == prev else 1
+            weight //= run
+            prev = row
+        yield mask, weight
+
+
+def _orbit_minimum_count(r: int, s: int) -> int:
+    return math.comb((1 << s) + r - 1, r)
+
+
+def _forest_and_cotree(mask: int, ctx: _Context) -> tuple[int, list[int]]:
     """BFS spanning forest of the subset graph, mirroring the deterministic
     order used by core.forest_normalize (smallest roots, sorted neighbors).
 
-    Returns (present slot list, components, forest slot set, cotree slots).
+    Returns (component count, ascending co-tree slots).
     """
-    r, s, n = ctx.r, ctx.s, ctx.n
+    n = ctx.n
     present = []
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for i, (u, v) in enumerate(ctx.slots):
@@ -226,90 +270,150 @@ def _forest_and_cotree(mask: int, ctx: _Context):
                     seen[v] = True
                     forest.add(slot)
                     queue.append(v)
-    cotree = [i for i in present if i not in forest]
-    return present, comps, forest, cotree
+    return comps, [i for i in present if i not in forest]
 
 
-def _lambda_max(n: int, present, cotree_bit, bits: int, slots) -> float:
-    """Largest eigenvalue of the class representative, built directly."""
-    rows = [[0.0] * n for _ in range(n)]
-    for slot in present:
-        cb = cotree_bit[slot]
-        sgn = -1.0 if cb >= 0 and bits >> cb & 1 else 1.0
-        u, v = slots[slot]
-        rows[u][v] = sgn
-        rows[v][u] = sgn
-    values = eigen.symmetric_eigenvalues(rows)
-    return max(values[-1], -values[0])
+def _bit_list(x: int) -> list[int]:
+    """Positions of the set bits of x, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
-def _scan_range(
-    space: SearchSpace,
-    lo: int,
-    hi: int,
-    on_admissible: Callable,
-) -> SearchStats:
-    """Enumerate admissible classes for underlying masks in [lo, hi).
+def _gf2_nullspace_basis(rows: list[int], width: int) -> list[int]:
+    """Basis of {x : popcount(x & row) even for every row} over GF(2).
 
-    ``on_admissible(mask, bits, m, present, cotree, cotree_bit, skip_eig)``
-    is invoked once per admissible pair, in (mask, bits) order.
+    One vector per free column c: the unique solution whose free part is
+    bit c.  The basis therefore depends only on the solution space, not
+    on which rows span the constraints or their order.
     """
-    ctx = _Context(space.r, space.s)
+    pivots: dict[int, int] = {}  # leading bit -> row with that leading bit
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            row ^= pivots[lead]
+        if len(pivots) == width:
+            return []
+    ascending = sorted(pivots.items())
+    basis = []
+    for fc in range(width):
+        if fc in pivots:
+            continue
+        v = 1 << fc
+        for pc, pr in ascending:
+            if (pr & v).bit_count() & 1:
+                v ^= 1 << pc
+        basis.append(v)
+    return basis
+
+
+def _admissible_basis(mask: int, ctx: _Context, cotree: list[int]) -> list[int]:
+    """Basis, in co-tree bits, of the sign vectors under which every
+    4-cycle of the underlying graph is positive.  Its nonzero span is the
+    set of admissible classes (the zero vector is the balanced class).
+
+    For left vertices a1 < a2 with common neighbours c0 < c1 < ..., the
+    4-cycles through (c0, cj) span those through every pair (ci, cj), so
+    only they become parity rows.
+    """
+    r, s = ctx.r, ctx.s
+    cotree_bit = [0] * (r * s)
+    for b, slot in enumerate(cotree):
+        cotree_bit[slot] = 1 << b
+    rows = _rows_of(mask, r, s)
+    parity = []
+    for a1 in range(r):
+        for a2 in range(a1 + 1, r):
+            common = _bit_list(rows[a1] & rows[a2])
+            pair = [cotree_bit[a1 * s + c] ^ cotree_bit[a2 * s + c] for c in common]
+            parity.extend(pair[0] ^ p for p in pair[1:])
+    return _gf2_nullspace_basis(parity, len(cotree))
+
+
+def _span(basis: list[int]) -> list[int]:
+    """Every vector of span(basis); the zero vector comes first."""
+    out = [0]
+    for b in basis:
+        out += [x ^ b for x in out]
+    return out
+
+
+def _negative_slots(bits: int, cotree: list[int]) -> int:
+    """Slot mask of the co-tree edges whose sign bit is set."""
+    return sum(1 << slot for b, slot in enumerate(cotree) if bits >> b & 1)
+
+
+def _spectral_radii(r: int, s: int, signed: list[tuple[int, int]]) -> np.ndarray:
+    """Spectral radius of each bipartite signed graph given as (edge mask,
+    negative-edge mask) over the r*s slots: sqrt(lambda_max(B B^T)) for its
+    r x s signed biadjacency matrix B, one stacked eigensolve for all."""
+    rs = r * s
+    width = (rs + 7) // 8  # masks may exceed 64 bits in the sampler
+    raw = b"".join(x.to_bytes(width, "little") for pair in signed for x in pair)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 2, width)
+    bits = np.unpackbits(packed, axis=2, count=rs, bitorder="little")
+    b = (bits[:, 0] - 2.0 * bits[:, 1]).reshape(-1, r, s)
+    lam = symmetric_eigenvalues(b @ b.transpose(0, 2, 1))[:, -1]
+    return np.sqrt(np.maximum(lam, 0.0))
+
+
+def _scan(
+    space: SearchSpace,
+    ctx: _Context,
+    masks: Iterable[tuple[int, int]],
+    on_graph: Callable,
+) -> SearchStats:
+    """Count the classes on every (mask, weight) of ``masks``.
+
+    Each counter of a graph is multiplied by its weight, the number of
+    labelled graphs it stands for.  ``on_graph(mask, cotree, basis,
+    skip_eig)`` runs once per graph with an admissible class; the
+    nonzero span of ``basis`` is the set of admissible co-tree bit vectors.
+    """
     stats = SearchStats()
     threshold = None
     if space.prune_below is not None:
         threshold = space.prune_below - space.window
-    for mask in range(lo, hi):
-        if space.canonical_underlying and not _is_canonical_underlying(
-            mask, ctx, space.merge_transposes
-        ):
-            stats.graphs_skipped += 1
+    for mask, weight in masks:
+        if space.canonical_underlying and not _is_canonical_underlying(mask, ctx):
+            stats.graphs_skipped += weight
             continue
-        present, comps, forest, cotree = _forest_and_cotree(mask, ctx)
+        comps, cotree = _forest_and_cotree(mask, ctx)
         if space.connected_only and comps != 1:
-            stats.graphs_skipped += 1
+            stats.graphs_skipped += weight
             continue
-        stats.graphs += 1
+        stats.graphs += weight
         k = len(cotree)
-        stats.classes += 1 << k
-        stats.balanced_skipped += 1
+        stats.classes += weight << k
+        stats.balanced_skipped += weight
         if k == 0:
             continue
-        m = len(present)
-        cotree_bit = [-1] * len(ctx.slots)
-        for b, slot in enumerate(cotree):
-            cotree_bit[slot] = b
-        cmasks = []
-        for quad_mask, quad_edges in ctx.quads:
-            if quad_mask & mask == quad_mask:
-                cm = 0
-                for e in quad_edges:
-                    if cotree_bit[e] >= 0:
-                        cm |= 1 << cotree_bit[e]
-                cmasks.append(cm)
-        skip_eig = threshold is not None and math.sqrt(m) < threshold
-        for bits in range(1, 1 << k):
-            admissible = True
-            for cm in cmasks:
-                if (bits & cm).bit_count() & 1:
-                    admissible = False
-                    break
-            if admissible:
-                stats.admissible += 1
-                if skip_eig:
-                    stats.pruned += 1
-                else:
-                    stats.eigensolved += 1
-                on_admissible(mask, bits, m, present, cotree, cotree_bit, skip_eig)
-            else:
-                stats.c4_skipped += 1
+        basis = _admissible_basis(mask, ctx, cotree)
+        admissible = (1 << len(basis)) - 1
+        stats.c4_skipped += weight * ((1 << k) - 1 - admissible)
+        if not admissible:
+            continue
+        stats.admissible += weight * admissible
+        skip_eig = threshold is not None and math.sqrt(mask.bit_count()) < threshold
+        if skip_eig:
+            stats.pruned += weight * admissible
+        else:
+            stats.eigensolved += weight * admissible
+        on_graph(mask, cotree, basis, skip_eig)
     return stats
 
 
 def enumerate_admissible(
     space: SearchSpace, visitor: Callable[[AdmissibleClass], None]
 ) -> SearchStats:
-    """Visit every admissible (underlying graph, switching class) pair once.
+    """Visit every admissible (underlying graph, switching class) pair once,
+    in (mask, bits) order, over all 2^(r*s) labelled masks.
 
     Balanced classes and classes with a negative 4-cycle are skipped and
     counted.  Runs in-process regardless of ``space.jobs`` because the
@@ -318,52 +422,46 @@ def enumerate_admissible(
     space.check_budget()
     ctx = _Context(space.r, space.s)
 
-    def on_admissible(mask, bits, m, present, cotree, cotree_bit, skip_eig):
-        visitor(
-            AdmissibleClass(
-                space.r,
-                space.s,
-                mask,
-                bits,
-                tuple(ctx.slots[i] for i in present),
-                tuple(ctx.slots[i] for i in cotree),
-            )
-        )
+    def on_graph(mask, cotree, basis, skip_eig):
+        for bits in sorted(_span(basis))[1:]:
+            visitor(ctx.admissible_class(mask, bits, cotree))
 
-    return _scan_range(space, 0, 1 << (space.r * space.s), on_admissible)
+    cube = ((mask, 1) for mask in range(1 << (space.r * space.s)))
+    return _scan(space, ctx, cube, on_graph)
 
 
 def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
-    """Worker: max-tracking scan of one underlying-mask range."""
-    space_kwargs, lo, hi = args
-    space = SearchSpace(**space_kwargs)
+    """Worker: max-tracking scan of the orbit minima of rank lo..hi-1."""
+    space, lo, hi = args
     ctx = _Context(space.r, space.s)
     best = -math.inf
     cands: list[tuple[float, int, int]] = []
+    pending: list[tuple[int, int, int]] = []  # (mask, bits, negative slots)
 
-    def on_admissible(mask, bits, m, present, cotree, cotree_bit, skip_eig):
+    def solve_pending():
         nonlocal best, cands
+        rhos = _spectral_radii(space.r, space.s, [(m, neg) for m, _, neg in pending])
+        best = max(best, float(rhos.max()))
+        floor = best - space.window
+        cands = [c for c in cands if c[0] >= floor]
+        for i in np.flatnonzero(rhos >= floor).tolist():
+            mask, bits, _ = pending[i]
+            cands.append((float(rhos[i]), mask, bits))
+        pending.clear()
+
+    def on_graph(mask, cotree, basis, skip_eig):
         if skip_eig:
             return
-        lam = _lambda_max(space.n, present, cotree_bit, bits, ctx.slots)
-        if lam > best:
-            best = lam
-            cands.append((lam, mask, bits))
-            if len(cands) > 4096:
-                cands = [c for c in cands if c[0] >= best - space.window]
-        elif lam >= best - space.window:
-            cands.append((lam, mask, bits))
+        negs = _span([_negative_slots(b, cotree) for b in basis])
+        for bits, neg in zip(_span(basis)[1:], negs[1:]):
+            pending.append((mask, bits, neg))
+        if len(pending) >= SOLVE_BLOCK:
+            solve_pending()
 
-    stats = _scan_range(space, lo, hi, on_admissible)
-    cands = [c for c in cands if c[0] >= best - space.window]
+    stats = _scan(space, ctx, _orbit_minima(space.r, space.s, lo, hi), on_graph)
+    if pending:
+        solve_pending()
     return stats.to_dict(), best, cands
-
-
-def _bit_positions(ctx: _Context, cotree: list[int]) -> list[int]:
-    cotree_bit = [-1] * len(ctx.slots)
-    for b, slot in enumerate(cotree):
-        cotree_bit[slot] = b
-    return cotree_bit
 
 
 @dataclass(frozen=True)
@@ -459,32 +557,20 @@ def run_search(space: SearchSpace) -> SearchResult:
     """Exhaustive maximum-spectral-radius search over admissible classes."""
     space.check_budget()
     t0 = time.perf_counter()
-    total = 1 << (space.r * space.s)
-    kwargs = {
-        "r": space.r,
-        "s": space.s,
-        "connected_only": space.connected_only,
-        "canonical_underlying": space.canonical_underlying,
-        "merge_transposes": space.merge_transposes,
-        "stretch": space.stretch,
-        "max_rs": space.max_rs,
-        "window": space.window,
-        "prune_below": space.prune_below,
-    }
+    total = _orbit_minimum_count(space.r, space.s)
     if space.jobs == 1:
-        parts = [_search_chunk((kwargs, 0, total))]
+        parts = [_search_chunk((space, 0, total))]
     else:
         n_chunks = min(total, space.jobs * 4)
         bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-        work = [(kwargs, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
+        work = [(space, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
         with Pool(space.jobs) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
     best = -math.inf
     cands: list[tuple[float, int, int]] = []
     for part_stats, part_best, part_cands in parts:
-        st = SearchStats(**part_stats)
-        stats.merge(st)
+        stats.merge(SearchStats(**part_stats))
         best = max(best, part_best)
         cands.extend(part_cands)
     cands = sorted(
@@ -494,16 +580,8 @@ def run_search(space: SearchSpace) -> SearchResult:
     ctx = _Context(space.r, space.s)
     graphs = []
     for _rho, mask, bits in cands:
-        present, _, _, cotree = _forest_and_cotree(mask, ctx)
-        ac = AdmissibleClass(
-            space.r,
-            space.s,
-            mask,
-            bits,
-            tuple(ctx.slots[i] for i in present),
-            tuple(ctx.slots[i] for i in cotree),
-        )
-        graphs.append(ac.signed_graph())
+        _, cotree = _forest_and_cotree(mask, ctx)
+        graphs.append(ctx.admissible_class(mask, bits, cotree).signed_graph())
     reps = _group_into_classes(graphs)
     return SearchResult(
         space.r,
@@ -670,30 +748,6 @@ class SpotCheckReport:
         return dict(vars(self))
 
 
-def _gf2_nullspace_basis(rows: list[int], width: int) -> list[int]:
-    """Basis of {x : popcount(x & row) even for every row} over GF(2)."""
-    pivots: list[tuple[int, int]] = []  # (pivot column, row value)
-    for row in rows:
-        cur = row
-        for pc, pr in pivots:
-            if cur >> pc & 1:
-                cur ^= pr
-        if cur:
-            pivots.append((cur.bit_length() - 1, cur))
-            pivots.sort(reverse=True)
-    pivot_cols = {pc for pc, _ in pivots}
-    basis = []
-    for fc in range(width):
-        if fc in pivot_cols:
-            continue
-        v = 1 << fc
-        for pc, pr in sorted(pivots):
-            if (pr & v).bit_count() & 1:
-                v ^= 1 << pc
-        basis.append(v)
-    return basis
-
-
 def spot_check_random(
     r: int, s: int, trials: int, seed: int = 0
 ) -> SpotCheckReport:
@@ -706,8 +760,6 @@ def spot_check_random(
     all-4-cycles-positive parity system, excluding the balanced class.
     Graphs whose solution space is trivial are resampled (counted).
     """
-    from .core import has_negative_c4, is_balanced
-
     if not (3 <= r <= s):
         raise BadParamsError(f"need 3 <= r <= s, got ({r},{s})")
     if trials < 0:
@@ -716,52 +768,33 @@ def spot_check_random(
     ctx = _Context(r, s)
     rng = random.Random(seed)
     bound = bound_fixed_sizes(r, s)
-    n = r + s
     rs = r * s
-    violations = 0
     resampled = 0
-    max_observed = -math.inf
-    done = 0
-    while done < trials:
-        mask = rng.getrandbits(rs)
-        present, _, _, cotree = _forest_and_cotree(mask, ctx)
-        k = len(cotree)
-        if k == 0:
+    violations = 0
+    max_observed = 0.0
+    pending: list[tuple[int, int]] = []  # (mask, negative slots) per trial
+    for done in range(1, trials + 1):
+        while True:
+            mask = rng.getrandbits(rs)
+            _, cotree = _forest_and_cotree(mask, ctx)
+            basis = _admissible_basis(mask, ctx, cotree)
+            if basis:
+                break
             resampled += 1
-            continue
-        cotree_bit = _bit_positions(ctx, cotree)
-        cmasks = []
-        for quad_mask, quad_edges in ctx.quads:
-            if quad_mask & mask == quad_mask:
-                cm = 0
-                for e in quad_edges:
-                    if cotree_bit[e] >= 0:
-                        cm |= 1 << cotree_bit[e]
-                cmasks.append(cm)
-        basis = _gf2_nullspace_basis(cmasks, k)
-        if not basis:
-            resampled += 1
-            continue
         coeff = rng.randrange(1, 1 << len(basis))
         bits = 0
         for i, b in enumerate(basis):
             if coeff >> i & 1:
                 bits ^= b
-        ac = AdmissibleClass(
-            r,
-            s,
-            mask,
-            bits,
-            tuple(ctx.slots[i] for i in present),
-            tuple(ctx.slots[i] for i in cotree),
-        )
-        g = ac.signed_graph()
-        assert not is_balanced(g) and has_negative_c4(g) is None
-        lam = _lambda_max(n, present, cotree_bit, bits, ctx.slots)
-        max_observed = max(max_observed, lam)
-        if lam > bound + BOUND_TOL:
-            violations += 1
-        done += 1
+        g = ctx.admissible_class(mask, bits, cotree).signed_graph()
+        if is_balanced(g) or has_negative_c4(g) is not None:
+            raise SgraphError(f"sampled class ({mask}, {bits}) is not admissible")
+        pending.append((mask, _negative_slots(bits, cotree)))
+        if len(pending) == SOLVE_BLOCK or done == trials:
+            rhos = _spectral_radii(r, s, pending)
+            violations += int(np.count_nonzero(rhos > bound + BOUND_TOL))
+            max_observed = max(max_observed, float(rhos.max()))
+            pending.clear()
     return SpotCheckReport(
         r,
         s,
@@ -769,7 +802,7 @@ def spot_check_random(
         seed,
         violations,
         resampled,
-        max_observed if trials else 0.0,
+        max_observed,
         bound,
         time.perf_counter() - t0,
     )

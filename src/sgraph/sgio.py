@@ -22,7 +22,7 @@ def dumps(g: SignedGraph) -> str:
 
 
 def dump(g: SignedGraph, path) -> None:
-    Path(path).write_text(dumps(g))
+    Path(path).write_text(dumps(g), encoding="utf-8")
 
 
 def loads(text: str) -> SignedGraph:
@@ -30,7 +30,7 @@ def loads(text: str) -> SignedGraph:
 
 
 def load(path) -> SignedGraph:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return _parse(fh)
 
 

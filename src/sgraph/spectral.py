@@ -4,18 +4,22 @@ Adjacency matrices, full eigenvalue spectra with principal eigenvector,
 spectral radius, the nonnegative-eigenvector switching, Rayleigh
 quotients, equitable partitions and their quotient matrices, and the
 edge-perturbation comparison used by the monotonicity property suite.
+
+Every eigenvalue in the package comes from numpy's LAPACK-backed
+``eigh``/``eigvalsh``, reached through ``symmetric_eigenvalues`` and
+``eigen_spectrum`` here; a solver failure surfaces as
+``ConvergenceFailureError``.  The principal eigenvector is signed so that
+its largest-magnitude entry is positive.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import eigen
 from .core import SignedGraph, switch
 from .errors import (
     ConvergenceFailureError,
@@ -90,6 +94,18 @@ class Spectrum:
         return json.dumps(self.to_json_dict())
 
 
+def _solve(solver, a):
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailureError(f"eigensolver failed: {exc}") from exc
+
+
+def symmetric_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, or of each in a stack, ascending."""
+    return _solve(np.linalg.eigvalsh, a)
+
+
 def eigen_spectrum(matrix, m: int | None = None) -> Spectrum:
     """Full spectrum of a symmetric matrix, descending, with principal vector."""
     a = as_symmetric_matrix(matrix)
@@ -98,22 +114,28 @@ def eigen_spectrum(matrix, m: int | None = None) -> Spectrum:
         m = int(np.count_nonzero(np.triu(a, 1)))
     if n == 0:
         return Spectrum(0, 0, (), (), 0.0)
-    values = eigen.symmetric_eigenvalues(a)
-    values.reverse()
-    lam1 = values[0]
-    vec, residual = eigen.principal_eigenvector(a, lam1)
-    if residual > RESIDUAL_TOL * (1.0 + abs(lam1)):
+    a = a.astype(float)
+    values, vectors = _solve(np.linalg.eigh, a)
+    lam1 = values[-1]
+    vec = vectors[:, -1]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec = -vec
+    residual = float(np.linalg.norm(a @ vec - lam1 * vec))
+    if not residual <= RESIDUAL_TOL * (1.0 + abs(lam1)):
         raise ConvergenceFailureError(
             f"principal eigenvector residual {residual:.3e} too large"
         )
-    return Spectrum(n, m, tuple(values), tuple(vec), residual)
+    return Spectrum(n, m, tuple(values[::-1].tolist()), tuple(vec.tolist()), residual)
 
 
 def graph_spectrum(g: SignedGraph) -> Spectrum:
     """Spectrum of the signed adjacency matrix of g."""
     spec = eigen_spectrum(adjacency_matrix(g), m=g.m)
     total = sum(v * v for v in spec.eigenvalues)
-    assert abs(total - 2 * g.m) <= 1e-8 * max(1.0, 2.0 * g.m)
+    if abs(total - 2 * g.m) > 1e-8 * max(1.0, 2.0 * g.m):
+        raise ConvergenceFailureError(
+            f"eigenvalue squares sum to {total!r}, expected {2 * g.m}"
+        )
     return spec
 
 
@@ -146,10 +168,9 @@ def nonnegative_switching(
     u_set = frozenset(v for v, xv in enumerate(spec.principal_vector) if xv < 0.0)
     h = switch(g, u_set)
     y = [abs(xv) for xv in spec.principal_vector]
-    values = eigen.symmetric_eigenvalues(adjacency_matrix(h))
-    values.reverse()
-    lam1 = values[0] if values else 0.0
     a = adjacency_matrix(h).astype(float)
+    values = symmetric_eigenvalues(a)[::-1].tolist()
+    lam1 = values[0] if values else 0.0
     ay = a @ np.asarray(y)
     residual = float(np.linalg.norm(ay - lam1 * np.asarray(y))) if g.n else 0.0
     if residual > RESIDUAL_TOL * (1.0 + abs(lam1)):
@@ -241,20 +262,11 @@ def quotient_eigenvalues(q: QuotientMatrix) -> list[float]:
     """
     if not q.equitable:
         raise NotEquitableError("partition is not equitable")
-    d = [math.sqrt(b) for b in q.block_sizes]
-    t = q.t
-    sym = [
-        [q.matrix[i][j] * d[i] / d[j] for j in range(t)]
-        for i in range(t)
-    ]
+    d = np.sqrt(np.array(q.block_sizes, dtype=float))
+    sym = q.as_array() * d[:, None] / d[None, :]
     # enforce exact symmetry on the float representation
-    for i in range(t):
-        for j in range(i):
-            avg = 0.5 * (sym[i][j] + sym[j][i])
-            sym[i][j] = sym[j][i] = avg
-    values = eigen.symmetric_eigenvalues(sym)
-    values.reverse()
-    return values
+    sym = 0.5 * (sym + sym.T)
+    return symmetric_eigenvalues(sym)[::-1].tolist()
 
 
 def quotient_spectrum_contained(
@@ -269,7 +281,7 @@ def quotient_spectrum_contained(
     if not q.equitable:
         raise NotEquitableError("partition is not equitable")
     q_vals = sorted(quotient_eigenvalues(q))
-    full = sorted(eigen.symmetric_eigenvalues(matrix))
+    full = symmetric_eigenvalues(as_symmetric_matrix(matrix)).tolist()
     i = 0
     for qv in q_vals:
         while i < len(full) and full[i] < qv - tol:

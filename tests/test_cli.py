@@ -177,6 +177,27 @@ class TestVerify:
         assert csv1 == csv2
 
 
+class TestIOErrors:
+    """I/O failures exit 2 with one error line, never 1 (REFUTED)."""
+
+    def test_missing_input_exit_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check", str(tmp_path / "no-such.sg"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_utf8_input_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.sg"
+        path.write_bytes(b"sg 2 0\n# caf\xe9\n")
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "construct", "3", "4", str(tmp_path / "no" / "x.sg"))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestByteDeterminism:
     def test_spectrum_and_check(self, capsys, g33_path):
         outs = set()

@@ -1,0 +1,53 @@
+"""`sgraph verify` output against golden files.
+
+The files in tests/golden/ are the JSON certificates of the full-cube
+search with the pure-Python eigensolver that preceded the orbit-minimum
+search ((4,5) took about 32 s that way, one process, 2-vCPU x86-64).
+Every field must match byte for byte, except ``observed_max`` (top level
+and per split), which may move in the last few ulps because the radius is
+now sqrt(lambda_max(B B^T)) from LAPACK.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from sgraph import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+OBSERVED_MAX_TOL = 1e-12
+
+CASES = [
+    (["verify", "sizes", "3", "3"], "verify_sizes_3_3.json"),
+    (["verify", "sizes", "3", "4"], "verify_sizes_3_4.json"),
+    (["verify", "sizes", "3", "5"], "verify_sizes_3_5.json"),
+    (["verify", "sizes", "4", "4"], "verify_sizes_4_4.json"),
+    (["verify", "sizes", "3", "6", "--stretch"], "verify_sizes_3_6.json"),
+    (["verify", "sizes", "4", "5", "--stretch"], "verify_sizes_4_5.json"),
+    (["verify", "order", "6"], "verify_order_6.json"),
+    (["verify", "order", "7"], "verify_order_7.json"),
+]
+
+
+def pop_observed_max(doc: dict) -> list[float]:
+    """Remove every ``observed_max`` from a certificate, returning them in
+    document order."""
+    values = [doc.pop("observed_max")]
+    for sub in doc.get("per_split", []):
+        values.extend(pop_observed_max(sub))
+    return values
+
+
+@pytest.mark.parametrize("argv,name", CASES, ids=[n[:-5] for _, n in CASES])
+def test_verify_matches_golden(capsys, argv, name):
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    got = json.loads(out)
+    want = json.loads((GOLDEN / name).read_text())
+    got_max, want_max = pop_observed_max(got), pop_observed_max(want)
+    assert len(got_max) == len(want_max)
+    for g, w in zip(got_max, want_max):
+        assert abs(g - w) <= OBSERVED_MAX_TOL
+    assert json.dumps(got) == json.dumps(want)

@@ -1,6 +1,9 @@
 """Exhaustive enumeration, certificates, determinism, and the sampler."""
 
 import math
+import random
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -14,14 +17,21 @@ from sgraph import (
     switching_isomorphic,
 )
 from sgraph.core import underlying_positive
+from sgraph.spectral import graph_spectrum
 from sgraph.errors import BadParamsError, BudgetExceededError
 from sgraph.extremal import bound_fixed_sizes, extremal_graph
 from sgraph.search import (
     CONFIRMED,
     SearchSpace,
+    _gf2_nullspace_basis,
+    _negative_slots,
+    _orbit_minima,
+    _orbit_minimum_count,
+    _spectral_radii,
     certificate_csv_row,
     CSV_HEADER,
     enumerate_admissible,
+    run_search,
     spot_check_random,
     verify_fixed_order,
     verify_fixed_sizes,
@@ -115,6 +125,30 @@ class TestEnumeration:
         with pytest.raises(BadParamsError):
             SearchSpace(2, 5)
 
+    def test_solution_space_equals_parity_loop_3_3(self):
+        """The admissible bits listed from the GF(2) basis are exactly the
+        nonzero co-tree vectors that leave every 4-cycle positive, and a
+        graph with none listed has no admissible class at all."""
+        by_mask: dict[int, list] = {}
+        enumerate_admissible(
+            SearchSpace(3, 3), lambda ac: by_mask.setdefault(ac.edge_mask, []).append(ac)
+        )
+        slots = [(a, 3 + b) for a in range(3) for b in range(3)]
+        for mask in range(1 << 9):
+            visited = by_mask.get(mask)
+            if visited is None:
+                edges = tuple((u, v, 1) for u, v in slots if mask >> (u * 3 + v - 3) & 1)
+                for g in switching_class_representatives(SignedGraph(6, edges)):
+                    assert is_balanced(g) or has_negative_c4(g) is not None
+                continue
+            first = visited[0]
+            want = [
+                bits
+                for bits in range(1, 1 << len(first.cotree_edges))
+                if has_negative_c4(replace(first, cotree_bits=bits).signed_graph()) is None
+            ]
+            assert [ac.cotree_bits for ac in visited] == want
+
     def test_connected_only_reduces_graphs(self):
         all_stats = enumerate_admissible(SearchSpace(3, 3), lambda ac: None)
         conn_stats = enumerate_admissible(
@@ -122,6 +156,75 @@ class TestEnumeration:
         )
         assert conn_stats.graphs < all_stats.graphs
         assert conn_stats.graphs + conn_stats.graphs_skipped == all_stats.graphs
+
+
+class TestOrbitMinima:
+    """The search visits one row-sorted mask per row-permutation orbit and
+    weights it by the orbit size; enumerate_admissible walks the full
+    labelled cube.  Their counters must agree."""
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (4, 4)])
+    def test_masks_are_the_sorted_row_orbit_minima(self, r, s):
+        full = (1 << s) - 1
+        total = 0
+        masks = []
+        for mask, weight in _orbit_minima(r, s, 0, None):
+            rows = [(mask >> (a * s)) & full for a in range(r)]
+            assert rows == sorted(rows, reverse=True)
+            assert weight == len(set(permutations(rows)))
+            masks.append(mask)
+            total += weight
+        assert masks == sorted(masks)
+        assert len(masks) == _orbit_minimum_count(r, s)
+        assert total == 1 << (r * s)
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5)])
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"connected_only": True}, {"canonical_underlying": True},
+         {"prune_below": 2.0}],
+        ids=["plain", "connected", "canonical", "pruned"],
+    )
+    def test_weighted_counters_equal_full_cube(self, r, s, flags):
+        space = SearchSpace(r, s, **flags)
+        cube = enumerate_admissible(space, lambda ac: None)
+        assert run_search(space).stats.to_dict() == cube.to_dict()
+
+    def test_identical_across_jobs_3_5(self):
+        runs = [run_search(SearchSpace(3, 5, jobs=jobs)) for jobs in (1, 2, 3)]
+        for res in runs[1:]:
+            assert res.max_rho == runs[0].max_rho
+            assert res.maximizers == runs[0].maximizers
+            assert res.stats == runs[0].stats
+        certs = [verify_fixed_sizes(3, 5, jobs=jobs) for jobs in (1, 2, 3)]
+        for cert in certs[1:]:
+            assert cert.observed_max == certs[0].observed_max
+            assert cert.witnesses == certs[0].witnesses
+
+    def test_gram_radii_match_graph_spectrum(self):
+        classes = []
+        enumerate_admissible(SearchSpace(3, 4), classes.append)
+        signed = []
+        for ac in classes:
+            cotree = [u * 4 + v - 3 for u, v in ac.cotree_edges]
+            signed.append((ac.edge_mask, _negative_slots(ac.cotree_bits, cotree)))
+        rhos = _spectral_radii(3, 4, signed)
+        assert len(rhos) == len(classes) > 50
+        for ac, rho in zip(classes, rhos):
+            assert abs(rho - graph_spectrum(ac.signed_graph()).rho) <= 1e-12
+
+    def test_nullspace_basis_ignores_row_order_and_redundancy(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            width = rng.randint(1, 10)
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
+            basis = _gf2_nullspace_basis(rows, width)
+            for v in basis:
+                assert all((v & row).bit_count() % 2 == 0 for row in rows)
+            extra = [a ^ b for a, b in zip(rows, rows[1:])]
+            shuffled = rows + extra
+            rng.shuffle(shuffled)
+            assert _gf2_nullspace_basis(shuffled, width) == basis
 
 
 class TestVerifyFixedSizes:

@@ -24,6 +24,7 @@ from sgraph import (
     VertexPartition,
 )
 from sgraph.errors import (
+    ConvergenceFailureError,
     EdgeAbsentError,
     EdgePresentError,
     NotEquitableError,
@@ -112,6 +113,25 @@ class TestEigenSpectrum:
         doc = spec.to_json_dict()
         assert set(doc) == {"n", "m", "eigenvalues", "lambda1", "rho", "residual"}
         assert doc["n"] == 6 and doc["m"] == 6
+
+
+class TestSolverContract:
+    def test_principal_vector_sign(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            x = graph_spectrum(random_signed_graph(rng, rng.randint(1, 9))).principal_vector
+            assert max(x, key=abs) > 0  # first entry of largest magnitude
+
+    def test_solver_failure_is_convergence_failure(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("synthetic")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(ConvergenceFailureError):
+            graph_spectrum(neg_c6())
+        with pytest.raises(ConvergenceFailureError):
+            quotient_spectrum_contained(adjacency_matrix(neg_c6()), VertexPartition.singletons(6))
 
 
 class TestSpectralRadius:
