@@ -5,7 +5,9 @@ search with the pure-Python eigensolver that preceded the orbit-minimum
 search ((4,5) took about 32 s that way, one process, 2-vCPU x86-64).
 Every field must match byte for byte, except ``observed_max`` (top level
 and per split), which may move in the last few ulps because the radius is
-now sqrt(lambda_max(B B^T)) from LAPACK.
+now sqrt(lambda_max(B B^T)) from LAPACK.  The ``--canonical``,
+``--connected-only`` and ``--jobs 2`` files came later, from the
+orbit-minimum search, and match it to the last bit.
 """
 
 import json
@@ -27,6 +29,9 @@ CASES = [
     (["verify", "sizes", "4", "5", "--stretch"], "verify_sizes_4_5.json"),
     (["verify", "order", "6"], "verify_order_6.json"),
     (["verify", "order", "7"], "verify_order_7.json"),
+    (["verify", "sizes", "3", "5", "--canonical"], "verify_sizes_3_5_canonical.json"),
+    (["verify", "sizes", "4", "4", "--connected-only"], "verify_sizes_4_4_connected_only.json"),
+    (["verify", "order", "8", "--jobs", "2"], "verify_order_8_jobs_2.json"),
 ]
 
 
