@@ -4,14 +4,16 @@ Enumeration unit: (underlying bipartite graph, switching class).  For a
 fixed left side 0..r-1 and right side r..r+s-1, an underlying graph is an
 edge mask over the r*s complete-bipartite slots; bit a*s + b is the edge
 (a, r + b), so row a of the mask is the s-bit neighbourhood of left vertex
-a.  On each graph, switching classes are walked by fixing the BFS spanning
-forest all-positive and putting sign bits on the co-tree edges only
-(2^(m-n+c) classes, one per class).  The all-positive assignment is the
-balanced class and is skipped; a class is admissible when it is unbalanced
-and every 4-cycle has positive sign.  The 4-cycle condition is a linear
-system over GF(2) in the co-tree bits, so the admissible classes are the
-nonzero vectors of its solution space, listed from a basis.  The
-randomized sampler draws from the same solution space.
+a.  On each graph, switching classes are walked by fixing a spanning
+forest all-positive, so that only co-tree edges may be negative
+(2^(m-n+c) classes, one per class).  Any spanning forest will do; the
+search takes the slots, in ascending order, that join two components.  A
+class is then a negative-edge slot mask inside the co-tree.  The empty
+mask is the balanced class and is skipped; a class is admissible when it
+is unbalanced and every 4-cycle has positive sign.  The 4-cycle condition
+is a linear system over GF(2) in the co-tree slots, so the admissible
+classes are the nonzero vectors of its solution space, listed from a
+basis.  The randomized sampler draws from the same solution space.
 
 The exhaustive search visits one mask per orbit of the left-vertex
 permutations: the numerically smallest, whose rows read as s-bit integers
@@ -25,22 +27,25 @@ signed biadjacency matrix B, solved by numpy on stacks of classes.
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
 switching isomorphism, and certify against the closed-form bounds.  The
-maximizers are closed under row permutations, so the first one of each
-class in (mask, bits) order lies on an orbit minimum and the witnesses are
-those a scan of the full cube would report.  Work can be partitioned into
-ranges of the orbit-minimum stream across processes; counters and results
-are merged deterministically, so the parallelism width never changes the
-output.
+representative reported for a class is its ``core.forest_normalize`` form,
+so the search's own forest never shows in the output.  The maximizers are
+closed under row permutations, so the first one of each class in (mask,
+normal-form co-tree bits) order lies on an orbit minimum and the witnesses
+are those a scan of the full cube would report.  Work can be partitioned
+into ranges of the orbit-minimum stream across processes; counters and
+results are merged deterministically, so the parallelism width never
+changes the output.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
+import os
 import random
 import time
-from collections import deque
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable
@@ -51,6 +56,7 @@ from . import sgio
 from .core import (
     SignedGraph,
     component_count,
+    forest_normalize,
     has_negative_c4,
     is_balanced,
     switching_isomorphic,
@@ -80,7 +86,6 @@ class SearchSpace:
     canonical_underlying: bool = False
     jobs: int = 1
     stretch: bool = False
-    window: float = WINDOW
     prune_below: float | None = None
 
     def __post_init__(self):
@@ -88,10 +93,6 @@ class SearchSpace:
             raise BadParamsError(f"need 3 <= r <= s, got ({self.r},{self.s})")
         if self.jobs < 1:
             raise BadParamsError("jobs must be >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.r + self.s
 
     def check_budget(self) -> None:
         rs = self.r * self.s
@@ -129,68 +130,22 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class AdmissibleClass:
-    """One admissible (underlying graph, switching class) pair."""
+    """One admissible (underlying graph, switching class) pair: its edges
+    and its negative edges as masks over the r*s slots."""
 
     r: int
     s: int
     edge_mask: int
-    cotree_bits: int
-    edges: tuple[tuple[int, int], ...]
-    cotree_edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return self.r + self.s
-
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    negative_mask: int
 
     def signed_graph(self) -> SignedGraph:
-        neg = {
-            e for b, e in enumerate(self.cotree_edges) if self.cotree_bits >> b & 1
-        }
+        r, s, neg = self.r, self.s, self.negative_mask
         return SignedGraph(
-            self.n, tuple((u, v, -1 if (u, v) in neg else 1) for u, v in self.edges)
-        )
-
-
-class _Context:
-    """Per-(r, s) precomputations shared by every underlying graph."""
-
-    def __init__(self, r: int, s: int):
-        self.r, self.s, self.n = r, s, r + s
-        self.slots = [(a, r + b) for a in range(r) for b in range(s)]
-        self._colperm_tables: list[list[int]] | None = None
-
-    def colperm_tables(self) -> list[list[int]]:
-        """For every column permutation, a lookup from an s-bit row pattern
-        to its permuted pattern (used by the canonical-underlying filter)."""
-        if self._colperm_tables is None:
-            s = self.s
-            tables = []
-            for perm in itertools.permutations(range(s)):
-                table = [0] * (1 << s)
-                for value in range(1 << s):
-                    out = 0
-                    for col in range(s):
-                        if value >> col & 1:
-                            out |= 1 << perm[col]
-                    table[value] = out
-                tables.append(table)
-            self._colperm_tables = tables
-        return self._colperm_tables
-
-    def admissible_class(
-        self, mask: int, bits: int, cotree: list[int]
-    ) -> AdmissibleClass:
-        return AdmissibleClass(
-            self.r,
-            self.s,
-            mask,
-            bits,
-            tuple(self.slots[i] for i in _bit_list(mask)),
-            tuple(self.slots[i] for i in cotree),
+            r + s,
+            tuple(
+                (i // s, r + i % s, -1 if neg >> i & 1 else 1)
+                for i in _bit_list(self.edge_mask)
+            ),
         )
 
 
@@ -199,13 +154,30 @@ def _rows_of(mask: int, r: int, s: int) -> list[int]:
     return [(mask >> (a * s)) & full for a in range(r)]
 
 
-def _is_canonical_underlying(mask: int, ctx: _Context) -> bool:
+@functools.cache
+def _colperm_tables(s: int) -> list[list[int]]:
+    """For every column permutation, a lookup from an s-bit row pattern
+    to its permuted pattern (used by the canonical-underlying filter)."""
+    tables = []
+    for perm in itertools.permutations(range(s)):
+        table = [0] * (1 << s)
+        for value in range(1 << s):
+            out = 0
+            for col in range(s):
+                if value >> col & 1:
+                    out |= 1 << perm[col]
+            table[value] = out
+        tables.append(table)
+    return tables
+
+
+def _is_canonical_underlying(mask: int, r: int, s: int) -> bool:
     """True when no column permutation makes the sorted row multiset of
     mask smaller.  Row order is ignored, so the answer is the same for
     every mask of a row-permutation orbit."""
-    rows = _rows_of(mask, ctx.r, ctx.s)
+    rows = _rows_of(mask, r, s)
     base = tuple(sorted(rows))
-    for table in ctx.colperm_tables():
+    for table in _colperm_tables(s):
         if tuple(sorted(table[row] for row in rows)) < base:
             return False
     return True
@@ -240,37 +212,27 @@ def _orbit_minimum_count(r: int, s: int) -> int:
     return math.comb((1 << s) + r - 1, r)
 
 
-def _forest_and_cotree(mask: int, ctx: _Context) -> tuple[int, list[int]]:
-    """BFS spanning forest of the subset graph, mirroring the deterministic
-    order used by core.forest_normalize (smallest roots, sorted neighbors).
+def _cotree(mask: int, r: int, s: int) -> tuple[int, int]:
+    """(component count, co-tree slot mask) of the subset graph.
 
-    Returns (component count, ascending co-tree slots).
+    The spanning forest keeps each slot, taken in ascending order, that
+    joins two components (union-find); the co-tree is every other slot.
     """
-    n = ctx.n
-    present = []
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(ctx.slots):
-        if mask >> i & 1:
-            present.append(i)
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-    seen = [False] * n
-    forest: set[int] = set()
-    comps = 0
-    for root in range(n):
-        if seen[root]:
-            continue
-        comps += 1
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, slot in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    forest.add(slot)
-                    queue.append(v)
-    return comps, [i for i in present if i not in forest]
+    root = list(range(r + s))
+    comps = r + s
+    cotree = 0
+    for i in _bit_list(mask):
+        u, v = i // s, r + i % s
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u == v:
+            cotree |= 1 << i
+        else:
+            root[u] = v
+            comps -= 1
+    return comps, cotree
 
 
 def _bit_list(x: int) -> list[int]:
@@ -283,8 +245,9 @@ def _bit_list(x: int) -> list[int]:
     return out
 
 
-def _gf2_nullspace_basis(rows: list[int], width: int) -> list[int]:
-    """Basis of {x : popcount(x & row) even for every row} over GF(2).
+def _gf2_nullspace_basis(rows: list[int], cols: int) -> list[int]:
+    """Basis of {x within cols : popcount(x & row) even for every row} over
+    GF(2); the rows must lie within the column mask ``cols``.
 
     One vector per free column c: the unique solution whose free part is
     bit c.  The basis therefore depends only on the solution space, not
@@ -298,11 +261,11 @@ def _gf2_nullspace_basis(rows: list[int], width: int) -> list[int]:
                 pivots[lead] = row
                 break
             row ^= pivots[lead]
-        if len(pivots) == width:
+        if len(pivots) == cols.bit_count():
             return []
     ascending = sorted(pivots.items())
     basis = []
-    for fc in range(width):
+    for fc in _bit_list(cols):
         if fc in pivots:
             continue
         v = 1 << fc
@@ -313,27 +276,27 @@ def _gf2_nullspace_basis(rows: list[int], width: int) -> list[int]:
     return basis
 
 
-def _admissible_basis(mask: int, ctx: _Context, cotree: list[int]) -> list[int]:
-    """Basis, in co-tree bits, of the sign vectors under which every
-    4-cycle of the underlying graph is positive.  Its nonzero span is the
-    set of admissible classes (the zero vector is the balanced class).
+def _admissible_basis(mask: int, r: int, s: int, cotree: int) -> list[int]:
+    """Basis, as negative-slot masks inside the co-tree, of the classes
+    under which every 4-cycle of the underlying graph is positive.  Its
+    nonzero span is the set of admissible classes (the empty mask is the
+    balanced class).
 
     For left vertices a1 < a2 with common neighbours c0 < c1 < ..., the
     4-cycles through (c0, cj) span those through every pair (ci, cj), so
-    only they become parity rows.
+    only they become parity rows, each cut down to its co-tree slots.
     """
-    r, s = ctx.r, ctx.s
-    cotree_bit = [0] * (r * s)
-    for b, slot in enumerate(cotree):
-        cotree_bit[slot] = 1 << b
     rows = _rows_of(mask, r, s)
     parity = []
     for a1 in range(r):
         for a2 in range(a1 + 1, r):
-            common = _bit_list(rows[a1] & rows[a2])
-            pair = [cotree_bit[a1 * s + c] ^ cotree_bit[a2 * s + c] for c in common]
-            parity.extend(pair[0] ^ p for p in pair[1:])
-    return _gf2_nullspace_basis(parity, len(cotree))
+            common = rows[a1] & rows[a2]
+            c0 = common & -common
+            spread = 1 << a1 * s | 1 << a2 * s
+            parity.extend(
+                (c0 | 1 << c) * spread & cotree for c in _bit_list(common ^ c0)
+            )
+    return _gf2_nullspace_basis(parity, cotree)
 
 
 def _span(basis: list[int]) -> list[int]:
@@ -342,11 +305,6 @@ def _span(basis: list[int]) -> list[int]:
     for b in basis:
         out += [x ^ b for x in out]
     return out
-
-
-def _negative_slots(bits: int, cotree: list[int]) -> int:
-    """Slot mask of the co-tree edges whose sign bit is set."""
-    return sum(1 << slot for b, slot in enumerate(cotree) if bits >> b & 1)
 
 
 def _spectral_radii(r: int, s: int, signed: list[tuple[int, int]]) -> np.ndarray:
@@ -365,36 +323,36 @@ def _spectral_radii(r: int, s: int, signed: list[tuple[int, int]]) -> np.ndarray
 
 def _scan(
     space: SearchSpace,
-    ctx: _Context,
     masks: Iterable[tuple[int, int]],
     on_graph: Callable,
 ) -> SearchStats:
     """Count the classes on every (mask, weight) of ``masks``.
 
     Each counter of a graph is multiplied by its weight, the number of
-    labelled graphs it stands for.  ``on_graph(mask, cotree, basis,
-    skip_eig)`` runs once per graph with an admissible class; the
-    nonzero span of ``basis`` is the set of admissible co-tree bit vectors.
+    labelled graphs it stands for.  ``on_graph(mask, basis, skip_eig)``
+    runs once per graph with an admissible class; the nonzero span of
+    ``basis`` is the set of admissible negative-slot masks.
     """
+    r, s = space.r, space.s
     stats = SearchStats()
     threshold = None
     if space.prune_below is not None:
-        threshold = space.prune_below - space.window
+        threshold = space.prune_below - WINDOW
     for mask, weight in masks:
-        if space.canonical_underlying and not _is_canonical_underlying(mask, ctx):
+        if space.canonical_underlying and not _is_canonical_underlying(mask, r, s):
             stats.graphs_skipped += weight
             continue
-        comps, cotree = _forest_and_cotree(mask, ctx)
+        comps, cotree = _cotree(mask, r, s)
         if space.connected_only and comps != 1:
             stats.graphs_skipped += weight
             continue
         stats.graphs += weight
-        k = len(cotree)
+        k = cotree.bit_count()
         stats.classes += weight << k
         stats.balanced_skipped += weight
         if k == 0:
             continue
-        basis = _admissible_basis(mask, ctx, cotree)
+        basis = _admissible_basis(mask, r, s, cotree)
         admissible = (1 << len(basis)) - 1
         stats.c4_skipped += weight * ((1 << k) - 1 - admissible)
         if not admissible:
@@ -405,7 +363,7 @@ def _scan(
             stats.pruned += weight * admissible
         else:
             stats.eigensolved += weight * admissible
-        on_graph(mask, cotree, basis, skip_eig)
+        on_graph(mask, basis, skip_eig)
     return stats
 
 
@@ -413,52 +371,51 @@ def enumerate_admissible(
     space: SearchSpace, visitor: Callable[[AdmissibleClass], None]
 ) -> SearchStats:
     """Visit every admissible (underlying graph, switching class) pair once,
-    in (mask, bits) order, over all 2^(r*s) labelled masks.
+    in (edge mask, negative mask) order, over all 2^(r*s) labelled masks.
 
-    Balanced classes and classes with a negative 4-cycle are skipped and
-    counted.  Runs in-process regardless of ``space.jobs`` because the
-    visitor is an arbitrary callable.
+    A class is given by the representative that is all-positive on the
+    search's spanning forest (see ``_cotree``), not by its
+    ``forest_normalize`` form.  Balanced classes and classes with a
+    negative 4-cycle are skipped and counted.  Runs in-process regardless
+    of ``space.jobs`` because the visitor is an arbitrary callable.
     """
     space.check_budget()
-    ctx = _Context(space.r, space.s)
+    r, s = space.r, space.s
 
-    def on_graph(mask, cotree, basis, skip_eig):
-        for bits in sorted(_span(basis))[1:]:
-            visitor(ctx.admissible_class(mask, bits, cotree))
+    def on_graph(mask, basis, skip_eig):
+        for neg in sorted(_span(basis))[1:]:
+            visitor(AdmissibleClass(r, s, mask, neg))
 
-    cube = ((mask, 1) for mask in range(1 << (space.r * space.s)))
-    return _scan(space, ctx, cube, on_graph)
+    cube = ((mask, 1) for mask in range(1 << (r * s)))
+    return _scan(space, cube, on_graph)
 
 
 def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
-    """Worker: max-tracking scan of the orbit minima of rank lo..hi-1."""
+    """Worker: max-tracking scan of the orbit minima of rank lo..hi-1;
+    returns the counters, the maximum and its (rho, mask, neg) window."""
     space, lo, hi = args
-    ctx = _Context(space.r, space.s)
     best = -math.inf
     cands: list[tuple[float, int, int]] = []
-    pending: list[tuple[int, int, int]] = []  # (mask, bits, negative slots)
+    pending: list[tuple[int, int]] = []  # (mask, negative mask)
 
     def solve_pending():
         nonlocal best, cands
-        rhos = _spectral_radii(space.r, space.s, [(m, neg) for m, _, neg in pending])
+        rhos = _spectral_radii(space.r, space.s, pending)
         best = max(best, float(rhos.max()))
-        floor = best - space.window
+        floor = best - WINDOW
         cands = [c for c in cands if c[0] >= floor]
         for i in np.flatnonzero(rhos >= floor).tolist():
-            mask, bits, _ = pending[i]
-            cands.append((float(rhos[i]), mask, bits))
+            cands.append((float(rhos[i]), *pending[i]))
         pending.clear()
 
-    def on_graph(mask, cotree, basis, skip_eig):
+    def on_graph(mask, basis, skip_eig):
         if skip_eig:
             return
-        negs = _span([_negative_slots(b, cotree) for b in basis])
-        for bits, neg in zip(_span(basis)[1:], negs[1:]):
-            pending.append((mask, bits, neg))
+        pending.extend((mask, neg) for neg in _span(basis)[1:])
         if len(pending) >= SOLVE_BLOCK:
             solve_pending()
 
-    stats = _scan(space, ctx, _orbit_minima(space.r, space.s, lo, hi), on_graph)
+    stats = _scan(space, _orbit_minima(space.r, space.s, lo, hi), on_graph)
     if pending:
         solve_pending()
     return stats.to_dict(), best, cands
@@ -474,7 +431,6 @@ class SearchResult:
     maximizers: tuple[SignedGraph, ...]  # one per switching-isomorphism class
     stats: SearchStats
     wall_time: float
-    window: float
 
 
 @dataclass(frozen=True)
@@ -564,7 +520,8 @@ def run_search(space: SearchSpace) -> SearchResult:
         n_chunks = min(total, space.jobs * 4)
         bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
         work = [(space, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-        with Pool(space.jobs) as pool:
+        # more processes than CPUs only add start-up cost; chunks stay put
+        with Pool(min(space.jobs, os.cpu_count() or 1)) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
     best = -math.inf
@@ -573,16 +530,16 @@ def run_search(space: SearchSpace) -> SearchResult:
         stats.merge(SearchStats(**part_stats))
         best = max(best, part_best)
         cands.extend(part_cands)
-    cands = sorted(
-        (c for c in cands if c[0] >= best - space.window),
-        key=lambda c: (c[1], c[2]),
-    )
-    ctx = _Context(space.r, space.s)
-    graphs = []
-    for _rho, mask, bits in cands:
-        _, cotree = _forest_and_cotree(mask, ctx)
-        graphs.append(ctx.admissible_class(mask, bits, cotree).signed_graph())
-    reps = _group_into_classes(graphs)
+    # representatives and their order come from core.forest_normalize alone
+    normal = []
+    for rho, mask, neg in cands:
+        if rho < best - WINDOW:
+            continue
+        nf = forest_normalize(AdmissibleClass(space.r, space.s, mask, neg).signed_graph())
+        bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
+        normal.append((mask, bits, nf.graph))
+    normal.sort(key=lambda c: c[:2])
+    reps = _group_into_classes([g for _, _, g in normal])
     return SearchResult(
         space.r,
         space.s,
@@ -590,7 +547,6 @@ def run_search(space: SearchSpace) -> SearchResult:
         tuple(reps),
         stats,
         time.perf_counter() - t0,
-        space.window,
     )
 
 
@@ -755,41 +711,40 @@ def spot_check_random(
     and assert the fixed-sizes bound on each; sizes may exceed the
     exhaustive budget.
 
-    Per trial an underlying graph is drawn edge-wise fair; the co-tree
-    sign vector is drawn uniformly from the solution space of the
-    all-4-cycles-positive parity system, excluding the balanced class.
-    Graphs whose solution space is trivial are resampled (counted).
+    Per trial an underlying graph is drawn edge-wise fair; the class, a
+    negative-slot mask inside the co-tree, is drawn uniformly from the
+    solution space of the all-4-cycles-positive parity system, excluding
+    the balanced class.  Graphs whose solution space is trivial are
+    resampled (counted).
     """
     if not (3 <= r <= s):
         raise BadParamsError(f"need 3 <= r <= s, got ({r},{s})")
     if trials < 0:
         raise BadParamsError("trials must be nonnegative")
     t0 = time.perf_counter()
-    ctx = _Context(r, s)
     rng = random.Random(seed)
     bound = bound_fixed_sizes(r, s)
     rs = r * s
     resampled = 0
     violations = 0
     max_observed = 0.0
-    pending: list[tuple[int, int]] = []  # (mask, negative slots) per trial
+    pending: list[tuple[int, int]] = []  # (mask, negative mask) per trial
     for done in range(1, trials + 1):
         while True:
             mask = rng.getrandbits(rs)
-            _, cotree = _forest_and_cotree(mask, ctx)
-            basis = _admissible_basis(mask, ctx, cotree)
+            basis = _admissible_basis(mask, r, s, _cotree(mask, r, s)[1])
             if basis:
                 break
             resampled += 1
         coeff = rng.randrange(1, 1 << len(basis))
-        bits = 0
+        neg = 0
         for i, b in enumerate(basis):
             if coeff >> i & 1:
-                bits ^= b
-        g = ctx.admissible_class(mask, bits, cotree).signed_graph()
+                neg ^= b
+        g = AdmissibleClass(r, s, mask, neg).signed_graph()
         if is_balanced(g) or has_negative_c4(g) is not None:
-            raise SgraphError(f"sampled class ({mask}, {bits}) is not admissible")
-        pending.append((mask, _negative_slots(bits, cotree)))
+            raise SgraphError(f"sampled class ({mask}, {neg}) is not admissible")
+        pending.append((mask, neg))
         if len(pending) == SOLVE_BLOCK or done == trials:
             rhos = _spectral_radii(r, s, pending)
             violations += int(np.count_nonzero(rhos > bound + BOUND_TOL))

@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import SignedGraph, switch
 from .errors import (
+    BadParamsError,
     ConvergenceFailureError,
     EdgeAbsentError,
     EdgePresentError,
@@ -32,6 +33,9 @@ from .errors import (
 
 RESIDUAL_TOL = 1e-9  # residual bound, scaled by (1 + |lambda1|)
 CONTAINMENT_TOL = 1e-7  # quotient-vs-full eigenvalue matching
+# Largest order given a dense matrix: 2048^2 int64 entries are 32 MiB, and
+# the float copies and workspace of the eigensolver take several times that.
+MAX_DENSE_N = 2048
 
 
 def as_symmetric_matrix(matrix) -> np.ndarray:
@@ -45,7 +49,14 @@ def as_symmetric_matrix(matrix) -> np.ndarray:
 
 
 def adjacency_matrix(g: SignedGraph) -> np.ndarray:
-    """The signed adjacency matrix: entries in {-1, 0, +1}, zero diagonal."""
+    """The signed adjacency matrix: entries in {-1, 0, +1}, zero diagonal.
+
+    Raises BadParamsError, before allocating, when n exceeds MAX_DENSE_N.
+    """
+    if g.n > MAX_DENSE_N:
+        raise BadParamsError(
+            f"n = {g.n} exceeds the dense-matrix limit {MAX_DENSE_N}"
+        )
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v, s in g.edges:
         a[u, v] = s

@@ -48,6 +48,14 @@ class TestSpectrum:
         assert code == 2
         assert "line 1" in err
 
+    def test_order_above_dense_limit_exit_4(self, capsys, tmp_path):
+        # one past MAX_DENSE_N; the guard must fire before any allocation
+        path = tmp_path / "huge.sg"
+        path.write_text("sg 2049 0\n")
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_convergence_failure_exit_3(self, capsys, g33_path, monkeypatch):
         def boom(_):
             raise ConvergenceFailureError("synthetic")

@@ -1,14 +1,15 @@
 """Exhaustive enumeration, certificates, determinism, and the sampler."""
 
 import math
+import os
 import random
-from dataclasses import replace
 from itertools import permutations
 
 import pytest
 
 from sgraph import (
     SignedGraph,
+    forest_normalize,
     has_negative_c4,
     is_balanced,
     sgio,
@@ -20,13 +21,16 @@ from sgraph.core import underlying_positive
 from sgraph.spectral import graph_spectrum
 from sgraph.errors import BadParamsError, BudgetExceededError
 from sgraph.extremal import bound_fixed_sizes, extremal_graph
+from sgraph import search
 from sgraph.search import (
     CONFIRMED,
+    AdmissibleClass,
     SearchSpace,
+    _cotree,
     _gf2_nullspace_basis,
-    _negative_slots,
     _orbit_minima,
     _orbit_minimum_count,
+    _span,
     _spectral_radii,
     certificate_csv_row,
     CSV_HEADER,
@@ -103,7 +107,7 @@ class TestEnumeration:
 
     def test_all_positive_never_visited(self):
         def visitor(ac):
-            assert ac.cotree_bits != 0
+            assert ac.negative_mask != 0
             assert any(s == -1 for *_, s in ac.signed_graph().edges)
 
         enumerate_admissible(SearchSpace(3, 3), visitor)
@@ -126,28 +130,34 @@ class TestEnumeration:
             SearchSpace(2, 5)
 
     def test_solution_space_equals_parity_loop_3_3(self):
-        """The admissible bits listed from the GF(2) basis are exactly the
-        nonzero co-tree vectors that leave every 4-cycle positive, and a
-        graph with none listed has no admissible class at all."""
+        """The negative masks listed from the GF(2) basis are exactly the
+        nonzero co-tree masks that leave every 4-cycle positive.  Passed
+        through forest_normalize, they are exactly the admissible classes
+        of core's switching_class_representatives, so the search's choice
+        of forest does not show."""
         by_mask: dict[int, list] = {}
         enumerate_admissible(
             SearchSpace(3, 3), lambda ac: by_mask.setdefault(ac.edge_mask, []).append(ac)
         )
         slots = [(a, 3 + b) for a in range(3) for b in range(3)]
         for mask in range(1 << 9):
-            visited = by_mask.get(mask)
-            if visited is None:
-                edges = tuple((u, v, 1) for u, v in slots if mask >> (u * 3 + v - 3) & 1)
-                for g in switching_class_representatives(SignedGraph(6, edges)):
-                    assert is_balanced(g) or has_negative_c4(g) is not None
-                continue
-            first = visited[0]
+            visited = by_mask.get(mask, [])
+            cotree = _cotree(mask, 3, 3)[1]
             want = [
-                bits
-                for bits in range(1, 1 << len(first.cotree_edges))
-                if has_negative_c4(replace(first, cotree_bits=bits).signed_graph()) is None
+                neg
+                for neg in sorted(_span([1 << i for i in range(9) if cotree >> i & 1]))[1:]
+                if has_negative_c4(AdmissibleClass(3, 3, mask, neg).signed_graph()) is None
             ]
-            assert [ac.cotree_bits for ac in visited] == want
+            assert [ac.negative_mask for ac in visited] == want
+            edges = tuple((u, v, 1) for u, v in slots if mask >> (u * 3 + v - 3) & 1)
+            reps = [
+                g
+                for g in switching_class_representatives(SignedGraph(6, edges))
+                if not is_balanced(g) and has_negative_c4(g) is None
+            ]
+            normal = [forest_normalize(ac.signed_graph()).graph for ac in visited]
+            assert len(set(normal)) == len(normal)
+            assert set(normal) == set(reps)
 
     def test_connected_only_reduces_graphs(self):
         all_stats = enumerate_admissible(SearchSpace(3, 3), lambda ac: None)
@@ -204,11 +214,7 @@ class TestOrbitMinima:
     def test_gram_radii_match_graph_spectrum(self):
         classes = []
         enumerate_admissible(SearchSpace(3, 4), classes.append)
-        signed = []
-        for ac in classes:
-            cotree = [u * 4 + v - 3 for u, v in ac.cotree_edges]
-            signed.append((ac.edge_mask, _negative_slots(ac.cotree_bits, cotree)))
-        rhos = _spectral_radii(3, 4, signed)
+        rhos = _spectral_radii(3, 4, [(ac.edge_mask, ac.negative_mask) for ac in classes])
         assert len(rhos) == len(classes) > 50
         for ac, rho in zip(classes, rhos):
             assert abs(rho - graph_spectrum(ac.signed_graph()).rho) <= 1e-12
@@ -216,15 +222,50 @@ class TestOrbitMinima:
     def test_nullspace_basis_ignores_row_order_and_redundancy(self):
         rng = random.Random(5)
         for _ in range(200):
-            width = rng.randint(1, 10)
-            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 8))]
-            basis = _gf2_nullspace_basis(rows, width)
+            cols = rng.getrandbits(14)
+            rows = [rng.getrandbits(14) & cols for _ in range(rng.randint(0, 8))]
+            basis = _gf2_nullspace_basis(rows, cols)
+            rank = len(set(_span(rows))).bit_length() - 1
+            assert len(basis) == cols.bit_count() - rank
             for v in basis:
+                assert v & ~cols == 0
                 assert all((v & row).bit_count() % 2 == 0 for row in rows)
             extra = [a ^ b for a, b in zip(rows, rows[1:])]
             shuffled = rows + extra
             rng.shuffle(shuffled)
-            assert _gf2_nullspace_basis(shuffled, width) == basis
+            assert _gf2_nullspace_basis(shuffled, cols) == basis
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5)])
+    def test_maximizers_are_forest_normal_forms(self, r, s):
+        for g in run_search(SearchSpace(r, s)).maximizers:
+            assert forest_normalize(g).graph == g
+
+    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+        """--jobs beyond the CPU count asks for no more processes than
+        CPUs.  The pool is a stand-in that maps in-process, so no process
+        is started however large jobs is."""
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return [fn(w) for w in work]
+
+        monkeypatch.setattr(search, "Pool", InProcessPool)
+        wide = run_search(SearchSpace(3, 3, jobs=10_000))
+        one = run_search(SearchSpace(3, 3))
+        assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+        assert wide.max_rho == one.max_rho
+        assert wide.maximizers == one.maximizers
+        assert wide.stats == one.stats
 
 
 class TestVerifyFixedSizes:
