@@ -168,7 +168,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", type=int, help="r (sizes mode) or n (order mode)")
     p.add_argument("b", type=int, nargs="?", help="s (sizes mode only)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--stretch", action="store_true", help="allow r*s up to 20")
+    p.add_argument(
+        "--stretch",
+        action="store_true",
+        help=f"allow r*s up to {search.HARD_BUDGET_RS} "
+        f"(default limit {search.DEFAULT_EXHAUSTIVE_RS})",
+    )
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--canonical", action="store_true",
                    help="enumerate canonical underlying graphs only")

@@ -15,37 +15,38 @@ is a linear system over GF(2) in the co-tree slots, so the admissible
 classes are the nonzero vectors of its solution space, listed from a
 basis.  The randomized sampler draws from the same solution space.
 
-The exhaustive search visits one mask per orbit of the left-vertex
-permutations: the numerically smallest, whose rows read as s-bit integers
-satisfy row 0 >= row 1 >= ... .  ``itertools.combinations_with_replacement``
-lists exactly these masks, in increasing order.  A row permutation is a
-graph isomorphism, so every counter of an orbit minimum is multiplied by
-the orbit size r!/prod(mult!) and the totals equal those of the full
-2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the r x s
-signed biadjacency matrix B, solved by numpy on stacks of classes.
+The exhaustive search visits one mask per orbit of the row and column
+permutations S_r x S_s, which are graph isomorphisms: the smallest.  Its
+rows, read as s-bit integers, ascend from row r-1, the most significant,
+so mask order is the lexicographic order of that row tuple.  The minima
+are generated row by row (Read and McKay's orderly generation), keeping
+a prefix only when no row and column permutation makes it smaller, and
+each stands for its orbit of r!*s!/|Aut| labelled graphs.  The counters
+are isomorphism invariants, so the weighted totals equal those of the
+full 2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the
+r x s signed biadjacency matrix B, solved by numpy on stacks of classes.
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
 switching isomorphism, and certify against the closed-form bounds.  The
 representative reported for a class is its ``core.forest_normalize`` form,
-so the search's own forest never shows in the output.  The maximizers are
-closed under row permutations, so the first one of each class in (mask,
-normal-form co-tree bits) order lies on an orbit minimum and the witnesses
-are those a scan of the full cube would report.  Work can be partitioned
-into ranges of the orbit-minimum stream across processes; counters and
-results are merged deterministically, so the parallelism width never
-changes the output.
+so the search's own forest never shows in the output.  A class's masks
+are closed under S_r x S_s, so its smallest mask is an orbit minimum, every
+class on it is solved, and the first one of each class in (mask,
+normal-form co-tree bits) order is the one a scan of the full cube would
+report.  Work can be partitioned into slices of the list of minima across
+processes; counters and results are merged deterministically, so the
+parallelism width never changes the output.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from multiprocessing import Pool
 from typing import Callable, Iterable
@@ -65,8 +66,9 @@ from .errors import BadParamsError, BudgetExceededError, SgraphError
 from .extremal import bound_fixed_order, bound_fixed_sizes, extremal_graph
 from .spectral import graph_spectrum, symmetric_eigenvalues
 
-DEFAULT_EXHAUSTIVE_RS = 16  # beyond this the stretch flag is required
-HARD_BUDGET_RS = 20
+DEFAULT_EXHAUSTIVE_RS = 25  # beyond this the stretch flag is required
+HARD_BUDGET_RS = 36
+CUBE_BUDGET_RS = 20  # enumerate_admissible walks all 2^(r*s) labelled masks
 WINDOW = 1e-9  # maximizer retention window around the observed max
 BOUND_TOL = 1e-8  # certificate tolerance against the closed-form bound
 SOLVE_BLOCK = 256  # classes per stacked eigensolve; keeps its temporaries small
@@ -154,62 +156,82 @@ def _rows_of(mask: int, r: int, s: int) -> list[int]:
     return [(mask >> (a * s)) & full for a in range(r)]
 
 
-@functools.cache
-def _colperm_tables(s: int) -> list[list[int]]:
-    """For every column permutation, a lookup from an s-bit row pattern
-    to its permuted pattern (used by the canonical-underlying filter)."""
-    tables = []
-    for perm in itertools.permutations(range(s)):
-        table = [0] * (1 << s)
-        for value in range(1 << s):
-            out = 0
-            for col in range(s):
-                if value >> col & 1:
-                    out |= 1 << perm[col]
-            table[value] = out
-        tables.append(table)
-    return tables
+def _packed(row: int, cells: list[tuple[int, int]]) -> int:
+    """The smallest image of ``row`` when each cell (column mask, first
+    position) keeps its positions: the row's ones in a cell go lowest."""
+    img = 0
+    for cols, lo in cells:
+        img |= ((1 << (row & cols).bit_count()) - 1) << lo
+    return img
 
 
-def _is_canonical_underlying(mask: int, r: int, s: int) -> bool:
-    """True when no column permutation makes the sorted row multiset of
-    mask smaller.  Row order is ignored, so the answer is the same for
-    every mask of a row-permutation orbit."""
-    rows = _rows_of(mask, r, s)
-    base = tuple(sorted(rows))
-    for table in _colperm_tables(s):
-        if tuple(sorted(table[row] for row in rows)) < base:
-            return False
-    return True
+def _refine(row: int, cells: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Split every cell into the row's ones, placed first, and its zeros."""
+    out = []
+    for cols, lo in cells:
+        ones = row & cols
+        if ones:
+            out.append((ones, lo))
+        if ones != cols:
+            out.append((cols ^ ones, lo + ones.bit_count()))
+    return out
 
 
-def _orbit_minima(
-    r: int, s: int, lo: int, hi: int | None
-) -> Iterable[tuple[int, int]]:
-    """(mask, orbit size) for the row-sorted masks of rank lo..hi-1.
-
-    Ranks follow increasing mask order; the orbit size under row
-    permutations is r! / prod(mult!) over the multiplicities of equal rows.
+def _place(rows, depth, cells, left) -> int | None:
+    """Place the rows ``left`` (value -> count) at positions depth, depth+1,
+    ... of the ascending tuple ``rows``, trying each value whose packed
+    image is the smallest.  None when a placement gives a smaller tuple;
+    else the sum of prod(cell size!), a coset of column permutations, over
+    the orders of distinct values that give ``rows``.
     """
-    r_fact = math.factorial(r)
-    for rows in itertools.islice(
-        itertools.combinations_with_replacement(range(1 << s), r), lo, hi
-    ):
-        # rows ascend, so rows[0] lands in the most significant row (r - 1)
-        mask = 0
-        weight = r_fact
-        run = 0
-        prev = -1
-        for row in rows:
-            mask = mask << s | row
-            run = run + 1 if row == prev else 1
-            weight //= run
-            prev = row
-        yield mask, weight
+    if depth == len(rows):
+        return math.prod(math.factorial(cols.bit_count()) for cols, _ in cells)
+    total = 0
+    for value, count in left.items():
+        if not count:
+            continue
+        img = _packed(value, cells)
+        if img < rows[depth]:
+            return None
+        if img == rows[depth]:
+            left[value] = count - 1
+            sub = _place(rows, depth + 1, _refine(value, cells), left)
+            left[value] = count
+            if sub is None:
+                return None
+            total += sub
+    return total
 
 
-def _orbit_minimum_count(r: int, s: int) -> int:
-    return math.comb((1 << s) + r - 1, r)
+def _minimal_masks(r: int, s: int) -> list[tuple[int, int, int]]:
+    """(mask, orbit size, row-orbit size r!/prod(mult!)) for the smallest
+    mask of every S_r x S_s orbit, in increasing order.
+
+    A prefix of the ascending row tuple grows by a row t >= its last and
+    is kept when ``_place`` finds no smaller image of it; the test is
+    hereditary, so a rejected prefix is never extended.  |Aut| of a full
+    tuple is the branch sum times prod(mult!) over its equal rows.
+    """
+    out = []
+    scale = math.factorial(r) * math.factorial(s)
+
+    def extend(prefix):
+        for t in range(prefix[-1] if prefix else 0, 1 << s):
+            rows = prefix + (t,)
+            mult = Counter(rows)
+            branches = _place(rows, 0, [((1 << s) - 1, 0)], mult)
+            if branches is None:
+                continue
+            if len(rows) < r:
+                extend(rows)
+            else:
+                perms = math.prod(math.factorial(c) for c in mult.values())
+                mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
+                row_orbit = math.factorial(r) // perms
+                out.append((mask, scale // (branches * perms), row_orbit))
+
+    extend(())
+    return out
 
 
 def _cotree(mask: int, r: int, s: int) -> tuple[int, int]:
@@ -329,9 +351,10 @@ def _scan(
     """Count the classes on every (mask, weight) of ``masks``.
 
     Each counter of a graph is multiplied by its weight, the number of
-    labelled graphs it stands for.  ``on_graph(mask, basis, skip_eig)``
-    runs once per graph with an admissible class; the nonzero span of
-    ``basis`` is the set of admissible negative-slot masks.
+    labelled graphs it stands for.  ``graphs_skipped`` is left to the
+    caller, which alone sees the whole cube.  ``on_graph(mask, basis,
+    skip_eig)`` runs once per graph with an admissible class; the nonzero
+    span of ``basis`` is the set of admissible negative-slot masks.
     """
     r, s = space.r, space.s
     stats = SearchStats()
@@ -339,12 +362,8 @@ def _scan(
     if space.prune_below is not None:
         threshold = space.prune_below - WINDOW
     for mask, weight in masks:
-        if space.canonical_underlying and not _is_canonical_underlying(mask, r, s):
-            stats.graphs_skipped += weight
-            continue
         comps, cotree = _cotree(mask, r, s)
         if space.connected_only and comps != 1:
-            stats.graphs_skipped += weight
             continue
         stats.graphs += weight
         k = cotree.bit_count()
@@ -381,19 +400,32 @@ def enumerate_admissible(
     """
     space.check_budget()
     r, s = space.r, space.s
+    if r * s > CUBE_BUDGET_RS:
+        raise BudgetExceededError(
+            f"r*s = {r * s} exceeds the cube budget {CUBE_BUDGET_RS}"
+        )
 
     def on_graph(mask, basis, skip_eig):
         for neg in sorted(_span(basis))[1:]:
             visitor(AdmissibleClass(r, s, mask, neg))
 
-    cube = ((mask, 1) for mask in range(1 << (r * s)))
-    return _scan(space, cube, on_graph)
+    cube = range(1 << (r * s))
+    if space.canonical_underlying:
+        # keep the masks whose sorted rows are those of an orbit minimum
+        def sorted_rows(mask):
+            return tuple(sorted(_rows_of(mask, r, s)))
+
+        minima = {sorted_rows(mask) for mask, *_ in _minimal_masks(r, s)}
+        cube = (mask for mask in cube if sorted_rows(mask) in minima)
+    stats = _scan(space, ((mask, 1) for mask in cube), on_graph)
+    stats.graphs_skipped = (1 << (r * s)) - stats.graphs
+    return stats
 
 
 def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
-    """Worker: max-tracking scan of the orbit minima of rank lo..hi-1;
+    """Worker: max-tracking scan of a list of (mask, weight);
     returns the counters, the maximum and its (rho, mask, neg) window."""
-    space, lo, hi = args
+    space, masks = args
     best = -math.inf
     cands: list[tuple[float, int, int]] = []
     pending: list[tuple[int, int]] = []  # (mask, negative mask)
@@ -415,7 +447,7 @@ def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
         if len(pending) >= SOLVE_BLOCK:
             solve_pending()
 
-    stats = _scan(space, _orbit_minima(space.r, space.s, lo, hi), on_graph)
+    stats = _scan(space, masks, on_graph)
     if pending:
         solve_pending()
     return stats.to_dict(), best, cands
@@ -513,15 +545,21 @@ def run_search(space: SearchSpace) -> SearchResult:
     """Exhaustive maximum-spectral-radius search over admissible classes."""
     space.check_budget()
     t0 = time.perf_counter()
-    total = _orbit_minimum_count(space.r, space.s)
+    r, s = space.r, space.s
+    # --canonical counts only the row permutations of each minimum
+    masks = [
+        (mask, row_orbit if space.canonical_underlying else orbit)
+        for mask, orbit, row_orbit in _minimal_masks(r, s)
+    ]
     if space.jobs == 1:
-        parts = [_search_chunk((space, 0, total))]
+        parts = [_search_chunk((space, masks))]
     else:
-        n_chunks = min(total, space.jobs * 4)
-        bounds = [total * i // n_chunks for i in range(n_chunks + 1)]
-        work = [(space, bounds[i], bounds[i + 1]) for i in range(n_chunks)]
-        # more processes than CPUs only add start-up cost; chunks stay put
-        with Pool(min(space.jobs, os.cpu_count() or 1)) as pool:
+        # more processes than CPUs only add start-up cost
+        workers = min(space.jobs, os.cpu_count() or 1)
+        n_chunks = min(len(masks), 4 * workers)
+        # strided slices: dense masks, the costly ones, sit at the end
+        work = [(space, masks[i::n_chunks]) for i in range(n_chunks)]
+        with Pool(workers) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
     best = -math.inf
@@ -530,19 +568,20 @@ def run_search(space: SearchSpace) -> SearchResult:
         stats.merge(SearchStats(**part_stats))
         best = max(best, part_best)
         cands.extend(part_cands)
+    stats.graphs_skipped = (1 << (r * s)) - stats.graphs
     # representatives and their order come from core.forest_normalize alone
     normal = []
     for rho, mask, neg in cands:
         if rho < best - WINDOW:
             continue
-        nf = forest_normalize(AdmissibleClass(space.r, space.s, mask, neg).signed_graph())
+        nf = forest_normalize(AdmissibleClass(r, s, mask, neg).signed_graph())
         bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
         normal.append((mask, bits, nf.graph))
     normal.sort(key=lambda c: c[:2])
     reps = _group_into_classes([g for _, _, g in normal])
     return SearchResult(
-        space.r,
-        space.s,
+        r,
+        s,
         best,
         tuple(reps),
         stats,
@@ -580,7 +619,6 @@ def verify_fixed_sizes(
         stretch=stretch,
         prune_below=rho0,
     )
-    space.check_budget()
     result = run_search(space)
     bound = bound_fixed_sizes(r, s)
     if not result.maximizers:
@@ -653,6 +691,8 @@ def verify_fixed_order(
     is attained only at the balanced split."""
     if n < 6:
         raise BadParamsError(f"order verification needs n >= 6, got {n}")
+    # the largest split, r = n//2, sets the budget; refuse before any search
+    SearchSpace(n // 2, n - n // 2, stretch=stretch).check_budget()
     certs = [
         verify_fixed_sizes(r, n - r, jobs=jobs, stretch=stretch, tolerance=tolerance)
         for r in range(3, n // 2 + 1)

@@ -3,7 +3,9 @@
 One graph per file: a header line ``sg <n> <m>`` followed by m edge lines
 ``<u> <v> <+1|-1>``.  Lines starting with ``#`` (or trailing ``#`` parts)
 are comments; blank lines are ignored.  Writers emit edges sorted by
-(u, v), which the SignedGraph storage order already guarantees.
+(u, v), which the SignedGraph storage order already guarantees.  A header
+may declare at most ``MAX_VERTICES`` vertices; a larger one is a parse
+error, raised before anything is built for it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from pathlib import Path
 
 from .core import SignedGraph
 from .errors import ParseError, SgraphError
+
+MAX_VERTICES = 1_000_000  # per-vertex structures of this many fit in memory
 
 
 def dumps(g: SignedGraph) -> str:
@@ -52,6 +56,10 @@ def _parse(fh) -> SignedGraph:
                 raise ParseError(lineno, f"non-integer header counts in {line!r}") from None
             if n < 0 or m < 0:
                 raise ParseError(lineno, "header counts must be nonnegative")
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    lineno, f"n = {n} exceeds the limit of {MAX_VERTICES} vertices"
+                )
             header = lineno
             continue
         if len(fields) != 3:

@@ -56,6 +56,17 @@ class TestSpectrum:
         assert code == 4 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["check", "spectrum"])
+    @pytest.mark.parametrize("n", ["1000001", "99999999999999999999"])
+    def test_order_above_vertex_limit_exit_2(self, capsys, tmp_path, command, n):
+        # sgio.MAX_VERTICES + 1 and 10^20: refused by the parser, never
+        # an OverflowError or an O(n) allocation in check
+        path = tmp_path / "huge.sg"
+        path.write_text(f"sg {n} 0\n")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_convergence_failure_exit_3(self, capsys, g33_path, monkeypatch):
         def boom(_):
             raise ConvergenceFailureError("synthetic")
@@ -169,7 +180,10 @@ class TestVerify:
         assert lines[1].startswith("1,3,3,")
 
     def test_budget_exit_5(self, capsys):
-        code, _, err = run(capsys, "verify", "sizes", "4", "5")
+        # r*s = 30 needs --stretch; r*s = 42 is past the hard budget
+        code, _, err = run(capsys, "verify", "sizes", "5", "6")
+        assert code == 5
+        code, _, err = run(capsys, "verify", "sizes", "6", "7", "--stretch")
         assert code == 5
 
     def test_missing_s_exit_4(self, capsys):

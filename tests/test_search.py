@@ -3,7 +3,7 @@
 import math
 import os
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
@@ -28,8 +28,7 @@ from sgraph.search import (
     SearchSpace,
     _cotree,
     _gf2_nullspace_basis,
-    _orbit_minima,
-    _orbit_minimum_count,
+    _minimal_masks,
     _span,
     _spectral_radii,
     certificate_csv_row,
@@ -122,10 +121,16 @@ class TestEnumeration:
         assert len(admissible) == 1
 
     def test_budget_guards(self):
+        # r*s = 30 needs the stretch flag; the guard fires before the cube walk
         with pytest.raises(BudgetExceededError):
-            enumerate_admissible(SearchSpace(4, 5), lambda ac: None)
+            enumerate_admissible(SearchSpace(5, 6), lambda ac: None)
         with pytest.raises(BudgetExceededError):
-            SearchSpace(5, 5, stretch=True).check_budget()
+            SearchSpace(6, 7, stretch=True).check_budget()
+        SearchSpace(5, 5).check_budget()
+        SearchSpace(6, 6, stretch=True).check_budget()
+        # the labelled cube keeps its own limit: (5,5) would walk 2^25 masks
+        with pytest.raises(BudgetExceededError):
+            enumerate_admissible(SearchSpace(5, 5), lambda ac: None)
         with pytest.raises(BadParamsError):
             SearchSpace(2, 5)
 
@@ -168,27 +173,67 @@ class TestEnumeration:
         assert conn_stats.graphs + conn_stats.graphs_skipped == all_stats.graphs
 
 
+def move_columns(row: int, cols: tuple[int, ...]) -> int:
+    """The s-bit row with column b moved to column cols[b]."""
+    return sum(1 << c for b, c in enumerate(cols) if row >> b & 1)
+
+
+def mask_of_rows(rows, s: int) -> int:
+    """The mask whose row a is rows[a]."""
+    return sum(row << (a * s) for a, row in enumerate(rows))
+
+
+def brute_orbit_minima(r: int, s: int) -> list[int]:
+    """The row-sorted masks (row 0 >= row 1 >= ...) that no column
+    permutation, followed by sorting the rows again, makes smaller."""
+    out = []
+    for rows in combinations_with_replacement(range(1 << s), r):
+        rows = sorted(rows, reverse=True)
+        mask = mask_of_rows(rows, s)
+        lowest = min(
+            mask_of_rows(sorted((move_columns(row, cols) for row in rows), reverse=True), s)
+            for cols in permutations(range(s))
+        )
+        if lowest == mask:
+            out.append(mask)
+    return out
+
+
 class TestOrbitMinima:
-    """The search visits one row-sorted mask per row-permutation orbit and
-    weights it by the orbit size; enumerate_admissible walks the full
+    """The search visits one mask per row-and-column orbit, the smallest,
+    and weights it by the orbit size; enumerate_admissible walks the full
     labelled cube.  Their counters must agree."""
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (4, 4)])
     def test_masks_are_the_sorted_row_orbit_minima(self, r, s):
-        full = (1 << s) - 1
-        total = 0
-        masks = []
-        for mask, weight in _orbit_minima(r, s, 0, None):
-            rows = [(mask >> (a * s)) & full for a in range(r)]
-            assert rows == sorted(rows, reverse=True)
-            assert weight == len(set(permutations(rows)))
-            masks.append(mask)
-            total += weight
-        assert masks == sorted(masks)
-        assert len(masks) == _orbit_minimum_count(r, s)
-        assert total == 1 << (r * s)
+        masks = [mask for mask, *_ in _minimal_masks(r, s)]
+        assert masks == sorted(brute_orbit_minima(r, s))
 
-    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5)])
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4)])
+    def test_weights_are_orbit_sizes(self, r, s):
+        full = (1 << s) - 1
+        for mask, weight, row_weight in _minimal_masks(r, s):
+            rows = [(mask >> (a * s)) & full for a in range(r)]
+            assert row_weight == len(set(permutations(rows)))
+            orbit = {
+                mask_of_rows([move_columns(row, cols) for row in perm], s)
+                for perm in permutations(rows)
+                for cols in permutations(range(s))
+            }
+            assert weight == len(orbit)
+            assert mask == min(orbit)
+
+    @pytest.mark.parametrize(
+        "r,s,count",
+        [(3, 3, 36), (3, 4, 87), (3, 5, 190), (3, 6, 386), (4, 4, 317), (4, 5, 1053)],
+    )
+    def test_weights_cover_the_cube(self, r, s, count):
+        # orbit counts: OEIS A028657
+        minima = _minimal_masks(r, s)
+        assert len(minima) == count
+        assert sum(weight for _, weight, _ in minima) == 1 << (r * s)
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5), (4, 4)])
     @pytest.mark.parametrize(
         "flags",
         [{}, {"connected_only": True}, {"canonical_underlying": True},
@@ -242,9 +287,11 @@ class TestOrbitMinima:
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         """--jobs beyond the CPU count asks for no more processes than
-        CPUs.  The pool is a stand-in that maps in-process, so no process
-        is started however large jobs is."""
+        CPUs, and for at most 4 chunks per process.  The pool is a
+        stand-in that maps in-process, so no process is started however
+        large jobs is."""
         asked = []
+        mapped = []
 
         class InProcessPool:
             def __init__(self, processes):
@@ -257,12 +304,16 @@ class TestOrbitMinima:
                 return False
 
             def map(self, fn, work):
+                mapped.extend(work)
                 return [fn(w) for w in work]
 
         monkeypatch.setattr(search, "Pool", InProcessPool)
         wide = run_search(SearchSpace(3, 3, jobs=10_000))
         one = run_search(SearchSpace(3, 3))
-        assert len(asked) == 1 and 1 <= asked[0] <= (os.cpu_count() or 1)
+        cpus = os.cpu_count() or 1
+        assert len(asked) == 1 and 1 <= asked[0] <= cpus
+        # chunks follow the capped worker count, not the asked-for jobs
+        assert 1 <= len(mapped) <= 4 * cpus
         assert wide.max_rho == one.max_rho
         assert wide.maximizers == one.maximizers
         assert wide.stats == one.stats
@@ -346,6 +397,15 @@ class TestVerifyFixedOrder:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             verify_fixed_order(5)
+
+    def test_budget_refused_before_any_split(self, monkeypatch):
+        # (3,8) fits the default budget and (5,6) does not: no split may run
+        def unreachable(space):
+            raise AssertionError(f"searched ({space.r},{space.s})")
+
+        monkeypatch.setattr(search, "run_search", unreachable)
+        with pytest.raises(BudgetExceededError):
+            verify_fixed_order(11)
 
 
 class TestSpotCheck:

@@ -73,3 +73,14 @@ def test_empty_graph():
     g = sgio.loads("sg 3 0\n")
     assert g.n == 3 and g.m == 0
     assert sgio.dumps(g) == "sg 3 0\n"
+
+
+@pytest.mark.parametrize("n", [sgio.MAX_VERTICES + 1, 10**20])
+def test_vertex_limit_is_a_parse_error(n):
+    with pytest.raises(ParseError) as exc:
+        sgio.loads(f"sg {n} 0\n")
+    assert exc.value.line == 1
+
+
+def test_vertex_limit_is_inclusive():
+    assert sgio.loads(f"sg {sgio.MAX_VERTICES} 0\n").n == sgio.MAX_VERTICES
