@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--canonical", action="store_true",
-                   help="enumerate canonical underlying graphs only")
+                   help="weight each underlying graph by its r!/prod(mult!) row "
+                   "permutations instead of its row-and-column orbit")
     p.add_argument("--csv", action="store_true", help="statistics as CSV")
     p.set_defaults(func=_cmd_verify)
     return parser

@@ -419,7 +419,7 @@ def _extract_negative_cycle(g: SignedGraph, walk: list[int]) -> list[int]:
             stack.append(w)
             cum.append(c)
             pos[w] = len(stack) - 1
-    raise AssertionError("closed walk was not negative")
+    raise SgraphError("closed walk was not negative")
 
 
 def has_negative_c4(g: SignedGraph) -> CycleWitness | None:
@@ -483,107 +483,25 @@ def _degree_profiles(g: SignedGraph) -> list[tuple]:
     return colors
 
 
-def switching_isomorphism(
-    g1: SignedGraph, g2: SignedGraph
-) -> tuple[tuple[int, ...], frozenset[int]] | None:
-    """A certificate (mapping, switch set) with switch(relabel(g1, mapping), U) == g2.
+def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
+    """Depth-first search over vertex orders of g, compared by their encoding.
 
-    Backtracking over underlying-graph isomorphisms with degree and
-    color-refinement pruning; a candidate bijection is accepted when the
-    pulled-back signature is switching equivalent to g2's.  Returns None
-    when the graphs are not switching isomorphic.  Intended for small
-    graphs (n up to ~16); larger inputs work but may be slow.
-    """
-    if g1.n != g2.n or g1.m != g2.m:
-        return None
-    n = g1.n
-    if n == 0:
-        return (), frozenset()
-    prof1 = _degree_profiles(g1)
-    prof2 = _degree_profiles(g2)
-    if sorted(prof1) != sorted(prof2):
-        return None
+    Placing vertex v after the vertices already ordered encodes one row: the
+    adjacency bits to the earlier vertices, plus one sign bit per
+    cycle-closing back edge after normalizing the earliest-edge spanning
+    forest to all positive signs (tracked with a signed union-find).
+    Candidates are tried by profile, then by row.
 
-    # Placement order: most-constrained first (ties by label).
-    order: list[int] = []
-    placed = [False] * n
-    for _ in range(n):
-        best = min(
-            (v for v in range(n) if not placed[v]),
-            key=lambda v: (
-                -sum(placed[w] for w, _ in g1.adjacency[v]),
-                -g1.degree(v),
-                v,
-            ),
-        )
-        placed[best] = True
-        order.append(best)
-
-    mapping: list[int] = [-1] * n
-    used = [False] * n
-    adj2 = [{w for w, _ in g2.adjacency[v]} for v in range(n)]
-
-    def extend(idx: int):
-        if idx == n:
-            h = relabel(g1, mapping)
-            nf_h = forest_normalize(h)
-            if nf_h.graph.edges == _nf2.graph.edges:
-                return tuple(mapping), frozenset(nf_h.switch_set ^ _nf2.switch_set)
-            return None
-        u = order[idx]
-        placed_nbrs = [(w, mapping[w]) for w, _ in g1.adjacency[u] if mapping[w] >= 0]
-        for w2 in range(n):
-            if used[w2] or prof2[w2] != prof1[u]:
-                continue
-            ok = True
-            for _w1, img in placed_nbrs:
-                if img not in adj2[w2]:
-                    ok = False
-                    break
-            if ok and len(placed_nbrs) == sum(
-                1 for x in adj2[w2] if x in _images
-            ):
-                mapping[u] = w2
-                used[w2] = True
-                _images.add(w2)
-                result = extend(idx + 1)
-                if result is not None:
-                    return result
-                mapping[u] = -1
-                used[w2] = False
-                _images.discard(w2)
-        return None
-
-    _nf2 = forest_normalize(g2)
-    _images: set[int] = set()
-    return extend(0)
-
-
-def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
-    """True iff some relabeling of g1 is switching equivalent to g2."""
-    return switching_isomorphism(g1, g2) is not None
-
-
-def canonical_key(g: SignedGraph):
-    """A total invariant of the switching-isomorphism class of g.
-
-    Minimizes, over vertex orderings, the per-position encoding: the
-    adjacency bits to earlier vertices, plus one sign bit per cycle-closing
-    back edge after normalizing the earliest-edge spanning forest to all
-    positive signs (tracked with a signed union-find).  The co-tree sign
-    vector determines all cycle signs, hence the switching class, so equal
-    keys mean switching isomorphic.  Interchangeable twin candidates are
-    explored once, which keeps highly symmetric graphs (empty, complete,
-    complete bipartite) tractable; general worst cases remain exponential,
-    so this is meant for small n.
+    By default the search returns the lexicographically smallest encoding,
+    pruning every prefix above the best one found.  With ``first`` it stops
+    at the first, greedy leaf.  With ``target = (profiles, rows)`` it stops
+    at the first order whose i-th vertex has profile ``profiles[i]`` and
+    whose encoding is ``rows``, pruning every other prefix, and returns None
+    when there is none.  The result is (order, rows).
     """
     n = g.n
-    if n == 0:
-        return (0,)
-    prof = _degree_profiles(g)
     adj_sets = [{w for w, _ in g.adjacency[v]} for v in range(n)]
-
-    best: list[tuple] | None = None
+    found = None
 
     def find(parent: list[int], sgn: list[int], x: int) -> tuple[int, int]:
         s = 1
@@ -596,7 +514,7 @@ def canonical_key(g: SignedGraph):
         """Encoding row for placing v; mutates the union-find copy."""
         adj_row = tuple(1 if p in adj_sets[v] else 0 for p in perm)
         bits = []
-        for j, p in enumerate(perm):
+        for p in perm:
             if p not in adj_sets[v]:
                 continue
             sigma = g.sign(v, p)
@@ -612,52 +530,103 @@ def canonical_key(g: SignedGraph):
 
     def twins(cands: list[int]) -> list[int]:
         """Drop candidates interchangeable with an earlier one by a
-        (possibly sign-negating) swap automorphism."""
+        (possibly sign-negating) swap automorphism: their subtrees have the
+        same encodings."""
         kept: list[int] = []
         for v in cands:
-            dup = False
             for w in kept:
-                if adj_sets[v] - {w} != adj_sets[w] - {v}:
-                    continue
-                ratios = {
-                    g.sign(v, x) * g.sign(w, x)
-                    for x in adj_sets[v] - {w, v}
-                }
-                if len(ratios) <= 1:
-                    dup = True
+                if adj_sets[v] - {w} == adj_sets[w] - {v} and len(
+                    {g.sign(v, x) * g.sign(w, x) for x in adj_sets[v] - {w, v}}
+                ) <= 1:
                     break
-            if not dup:
+            else:
                 kept.append(v)
         return kept
 
-    def search(perm: list[int], rows: list[tuple], parent: list[int], sgn: list[int]):
-        nonlocal best
-        if len(perm) == n:
-            if best is None or rows < best:
-                best = list(rows)
-            return
+    def search(perm: list[int], rows: list[tuple], parent: list[int], sgn: list[int]) -> bool:
+        """Extend perm; True once the search should stop."""
+        nonlocal found
+        depth = len(perm)
+        if depth == n:
+            if found is None or rows < found[1]:
+                found = (tuple(perm), list(rows))
+            return first or target is not None
         remaining = [v for v in range(n) if v not in perm_set]
-        cands = twins(sorted(remaining, key=lambda v: prof[v]))
+        if target is not None:
+            remaining = [v for v in remaining if prof[v] == target[0][depth]]
         scored = []
-        for v in cands:
+        for v in twins(sorted(remaining, key=lambda v: prof[v])):
             par, sg = parent[:], sgn[:]
-            row = rows_for(perm, v, par, sg)
-            scored.append((row, v, par, sg))
+            scored.append((rows_for(perm, v, par, sg), v, par, sg))
         scored.sort(key=lambda t: t[0])
         for row, v, par, sg in scored:
             rows.append(row)
-            if best is not None and rows > best[: len(rows)]:
+            if target is not None:
+                pruned = row != target[1][depth]
+            else:
+                pruned = found is not None and rows > found[1][: depth + 1]
+            if pruned:
                 rows.pop()
                 continue
             perm.append(v)
             perm_set.add(v)
-            search(perm, rows, par, sg)
+            if search(perm, rows, par, sg):
+                return True  # the leaf is already copied into found
             perm.pop()
             perm_set.discard(v)
             rows.pop()
+        return False
 
     perm_set: set[int] = set()
     search([], [], list(range(n)), [1] * n)
-    if best is None:
-        raise SgraphError("canonical labeling search found no labeling")
-    return (n, tuple(best))
+    return found
+
+
+def switching_isomorphism(
+    g1: SignedGraph, g2: SignedGraph
+) -> tuple[tuple[int, ...], frozenset[int]] | None:
+    """A certificate (mapping, switch set) with switch(relabel(g1, mapping), U) == g2.
+
+    Takes g2's vertex order from the first leaf of the ordering search and
+    searches g1's orders for the same encoding.  Equal encodings mean equal
+    adjacency and equal co-tree signs on the same earliest-edge forest, so
+    mapping g1's order onto g2's is a switching isomorphism; the switch set
+    comes from normalizing both graphs' BFS forests.  Returns None when the
+    graphs are not switching isomorphic.  Meant for small n, like the key.
+    """
+    if g1.n != g2.n or g1.m != g2.m:
+        return None
+    prof1 = _degree_profiles(g1)
+    prof2 = _degree_profiles(g2)
+    if sorted(prof1) != sorted(prof2):
+        return None
+    order2, rows2 = _order_search(g2, prof2, first=True)
+    match = _order_search(g1, prof1, target=([prof2[v] for v in order2], rows2))
+    if match is None:
+        return None
+    mapping = tuple(v2 for _, v2 in sorted(zip(match[0], order2)))
+    nf_h = forest_normalize(relabel(g1, mapping))
+    nf2 = forest_normalize(g2)
+    if nf_h.graph.edges != nf2.graph.edges:
+        raise SgraphError("equal order encodings gave inequivalent graphs")
+    return mapping, frozenset(nf_h.switch_set ^ nf2.switch_set)
+
+
+def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """True iff some relabeling of g1 is switching equivalent to g2."""
+    return switching_isomorphism(g1, g2) is not None
+
+
+def canonical_key(g: SignedGraph):
+    """A total invariant of the switching-isomorphism class of g.
+
+    The smallest encoding over all vertex orders, from ``_order_search``.
+    The co-tree sign vector determines all cycle signs, hence the switching
+    class, so equal keys mean switching isomorphic.  Skipping twin candidates
+    keeps highly symmetric graphs (empty, complete, complete bipartite)
+    tractable; general worst cases remain exponential, so this is meant for
+    small n.
+    """
+    if g.n == 0:
+        return (0,)
+    return (g.n, tuple(_order_search(g, _degree_profiles(g))[1]))

@@ -75,17 +75,15 @@ def extremal_graph(r: int, s: int) -> tuple[SignedGraph, Bipartition]:
 def bound_fixed_sizes(r: int, s: int) -> float:
     """Sharp spectral-radius bound for unbalanced negative-C4-free signed
     bipartite graphs with partite sizes (r, s)."""
-    c, d = _coeffs(r, s)
-    disc = c * c - 4 * d
-    if disc < 0:  # a difference of real squares, so never negative
-        raise SgraphError(f"quartic discriminant {disc} is negative")
-    return math.sqrt((c + math.sqrt(disc)) / 2.0)
+    return nonzero_eigenvalue_pair(r, s)[0]
 
 
 def nonzero_eigenvalue_pair(r: int, s: int) -> tuple[float, float]:
     """The two positive eigenvalues of the construction (larger first)."""
     c, d = _coeffs(r, s)
     disc = c * c - 4 * d
+    if disc < 0:  # a difference of real squares, so never negative
+        raise SgraphError(f"quartic discriminant {disc} is negative")
     root = math.sqrt(disc)
     return math.sqrt((c + root) / 2.0), math.sqrt((c - root) / 2.0)
 

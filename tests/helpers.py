@@ -3,16 +3,16 @@
 The oracles here deliberately avoid the package's algorithmic shortcuts:
 balance is decided by trying every switching, negative 4-cycles by
 scanning every 4-subset, shortest negative cycles by exhaustive simple
-cycle enumeration, and switching classes by orbit flooding over single
-vertex switchings.
+cycle enumeration, switching classes by orbit flooding over single
+vertex switchings, and switching isomorphism by trying every relabelling.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
-from sgraph import SignedGraph, switch
+from sgraph import SignedGraph, relabel, switch
 
 
 def random_signed_graph(rng: random.Random, n: int, p: float = 0.45) -> SignedGraph:
@@ -101,6 +101,21 @@ def brute_shortest_negative_cycle_length(g: SignedGraph) -> int | None:
     for root in range(g.n):
         dfs(root, [root], 1)
     return best
+
+
+def brute_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """Try every relabelling of g1 that gives g2's underlying graph; one
+    works iff the edge-wise product of the two signatures is balanced."""
+    if g1.n != g2.n or g1.m != g2.m:
+        return False
+    for perm in permutations(range(g1.n)):
+        h = relabel(g1, perm)
+        if h.underlying_edges() != g2.underlying_edges():
+            continue
+        product = tuple((u, v, s * t) for (u, v, s), (_, _, t) in zip(h.edges, g2.edges))
+        if brute_is_balanced(SignedGraph(g2.n, product)):
+            return True
+    return False
 
 
 def count_switching_classes_brute(g: SignedGraph) -> int:

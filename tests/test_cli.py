@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sgraph import cli, sgio
+from sgraph import cli, core, sgio
 from sgraph.errors import ConvergenceFailureError
 from sgraph.extremal import extremal_graph
 
@@ -74,6 +74,16 @@ class TestSpectrum:
         monkeypatch.setattr(cli, "graph_spectrum", boom)
         code, _, err = run(capsys, "spectrum", g33_path)
         assert code == 3
+
+    def test_negative_cycle_guard_exit_4(self, capsys, g33_path, monkeypatch):
+        # the guard's failure is an internal error, not REFUTED (exit 1)
+        extract = core._extract_negative_cycle
+        monkeypatch.setattr(
+            core, "_extract_negative_cycle", lambda g, walk: extract(g, [walk[0], walk[1], walk[0]])
+        )
+        code, out, err = run(capsys, "check", g33_path)
+        assert code == 4 and out == ""
+        assert err.startswith("error: ")
 
 
 class TestCheck:

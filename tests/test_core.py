@@ -1,6 +1,8 @@
 """Signed-graph model, switching, balance, and cycle detection."""
 
+import hashlib
 import random
+from itertools import chain
 
 import pytest
 
@@ -33,7 +35,11 @@ from sgraph.errors import (
 )
 from sgraph.extremal import extremal_graph
 
-from helpers import random_signed_graph
+from helpers import (
+    brute_switching_isomorphic,
+    random_connected_signed_graph,
+    random_signed_graph,
+)
 
 
 def neg_c6() -> SignedGraph:
@@ -282,9 +288,14 @@ class TestSwitchingEquivalent:
 
 class TestSwitchingIsomorphic:
     def test_relabeled_switch_orbit(self):
+        # random graphs up to n = 8, then the constructions at search sizes
         rng = random.Random(29)
-        for _ in range(25):
-            g = random_signed_graph(rng, rng.randint(1, 8))
+        randoms = (random_signed_graph(rng, rng.randint(1, 8)) for _ in range(25))
+        constructions = (
+            extremal_graph(r, s)[0]
+            for r, s in [(3, 5), (4, 4), (3, 6), (4, 5), (3, 7), (4, 6), (5, 5), (5, 6), (6, 6)]
+        )
+        for g in chain(randoms, constructions):
             u_set = frozenset(v for v in range(g.n) if rng.random() < 0.5)
             perm = list(range(g.n))
             rng.shuffle(perm)
@@ -323,6 +334,48 @@ class TestSwitchingIsomorphic:
             assert (canonical_key(g1) == canonical_key(g2)) == switching_isomorphic(
                 g1, g2
             )
+
+    def test_agrees_with_brute_force(self):
+        """switching_isomorphic, key equality and the relabelling oracle
+        agree, also on pairs with equal degree sequences: a relabelled,
+        switched copy, and such a copy with one edge sign flipped."""
+        rng = random.Random(47)
+        outcomes = set()
+        for i in range(90):
+            n = rng.randint(1, 6)
+            g1 = random_signed_graph(rng, n)
+            if i % 3 == 0:
+                g2 = random_signed_graph(rng, n)
+            else:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g2 = relabel(switch(g1, {v for v in range(n) if rng.random() < 0.5}), perm)
+                if i % 3 == 2 and g2.m:
+                    edges = list(g2.edges)
+                    k = rng.randrange(len(edges))
+                    edges[k] = edges[k][:2] + (-edges[k][2],)
+                    g2 = SignedGraph(n, tuple(edges))
+            expected = brute_switching_isomorphic(g1, g2)
+            assert switching_isomorphic(g1, g2) == expected
+            assert (canonical_key(g1) == canonical_key(g2)) == expected
+            outcomes.add((i % 3, expected))
+        # flipped copies land on both sides
+        assert {(2, True), (2, False)} <= outcomes
+
+    def test_canonical_key_values_pinned(self):
+        """Keys are compared across runs, so their values must not drift:
+        the sha256 of the keys of a seeded set of graphs with n <= 9."""
+        rng = random.Random(53)
+        keys = []
+        for i in range(80):
+            n = rng.randint(0, 9)
+            if i % 2:
+                g = random_signed_graph(rng, n, p=rng.choice((0.3, 0.5, 0.7)))
+            else:
+                g = random_connected_signed_graph(rng, max(n, 1))
+            keys.append(canonical_key(g))
+        digest = hashlib.sha256(repr(keys).encode()).hexdigest()
+        assert digest == "320117aab0785eb79f745666cba1a55fda664e28902e116fafd6ec1def591859"
 
     def test_canonical_key_invariant_under_relabel_switch(self):
         rng = random.Random(43)
