@@ -116,7 +116,6 @@ def _cmd_verify(args) -> int:
             jobs=args.jobs,
             stretch=args.stretch,
             connected_only=args.connected_only,
-            canonical_underlying=args.canonical,
         )
         if args.csv:
             print(search.CSV_HEADER)
@@ -175,9 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default limit {search.DEFAULT_EXHAUSTIVE_RS})",
     )
     p.add_argument("--connected-only", action="store_true")
-    p.add_argument("--canonical", action="store_true",
-                   help="weight each underlying graph by its r!/prod(mult!) row "
-                   "permutations instead of its row-and-column orbit")
     p.add_argument("--csv", action="store_true", help="statistics as CSV")
     p.set_defaults(func=_cmd_verify)
     return parser

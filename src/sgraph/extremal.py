@@ -43,6 +43,15 @@ class ExtremalParams:
         return self.r + self.s
 
 
+def _sqrt(x: int | float) -> float:
+    """math.sqrt of a closed-form term.  Sizes whose terms leave float
+    range, or lose the small root to cancellation, are bad parameters."""
+    try:
+        return math.sqrt(x)
+    except (OverflowError, ValueError):
+        raise BadParamsError("sizes too large for the closed form in floats") from None
+
+
 def _coeffs(r: int, s: int) -> tuple[int, int]:
     """(c, d) of the nonzero-eigenvalue quartic x^4 - c x^2 + d."""
     ExtremalParams(r, s)
@@ -84,8 +93,8 @@ def nonzero_eigenvalue_pair(r: int, s: int) -> tuple[float, float]:
     disc = c * c - 4 * d
     if disc < 0:  # a difference of real squares, so never negative
         raise SgraphError(f"quartic discriminant {disc} is negative")
-    root = math.sqrt(disc)
-    return math.sqrt((c + root) / 2.0), math.sqrt((c - root) / 2.0)
+    root = _sqrt(disc)
+    return _sqrt((c + root) / 2.0), _sqrt((c - root) / 2.0)
 
 
 def bound_fixed_order(n: int) -> float:
@@ -97,10 +106,10 @@ def bound_fixed_order(n: int) -> float:
     if n < 6:
         raise BadParamsError(f"order bound needs n >= 6, got {n}")
     if n % 2 == 0:
-        value = (n - 6 + math.sqrt((n - 2) * (n + 6))) / 4.0
+        value = (n - 6 + _sqrt((n - 2) * (n + 6))) / 4.0
     else:
         t = n * n - 4 * n + 11
-        value = math.sqrt((t + math.sqrt(t * t - 64 * (n - 2) * (n - 4))) / 8.0)
+        value = _sqrt((t + _sqrt(t * t - 64 * (n - 2) * (n - 4))) / 8.0)
     balanced_split = bound_fixed_sizes(n // 2, n - n // 2)
     if abs(value - balanced_split) > 1e-12:
         raise SgraphError(

@@ -25,6 +25,9 @@ each stands for its orbit of r!*s!/|Aut| labelled graphs.  The counters
 are isomorphism invariants, so the weighted totals equal those of the
 full 2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the
 r x s signed biadjacency matrix B, solved by numpy on stacks of classes.
+A graph with m edges has rho^2 <= tr(B B^T) = m, so its classes skip the
+eigensolve when m is below beta, the square of the closed-form bound: an
+integer test on (r, s, m) that the search derives from (r, s) alone.
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
@@ -63,8 +66,8 @@ from .core import (
     switching_isomorphic,
 )
 from .errors import BadParamsError, BudgetExceededError, SgraphError
-from .extremal import bound_fixed_order, bound_fixed_sizes, extremal_graph
-from .spectral import graph_spectrum, symmetric_eigenvalues
+from .extremal import _coeffs, bound_fixed_order, bound_fixed_sizes, extremal_graph
+from .spectral import symmetric_eigenvalues
 
 DEFAULT_EXHAUSTIVE_RS = 25  # beyond this the stretch flag is required
 HARD_BUDGET_RS = 36
@@ -85,10 +88,8 @@ class SearchSpace:
     r: int
     s: int
     connected_only: bool = False
-    canonical_underlying: bool = False
     jobs: int = 1
     stretch: bool = False
-    prune_below: float | None = None
 
     def __post_init__(self):
         if not (3 <= self.r <= self.s):
@@ -203,9 +204,9 @@ def _place(rows, depth, cells, left) -> int | None:
     return total
 
 
-def _minimal_masks(r: int, s: int) -> list[tuple[int, int, int]]:
-    """(mask, orbit size, row-orbit size r!/prod(mult!)) for the smallest
-    mask of every S_r x S_s orbit, in increasing order.
+def _minimal_masks(r: int, s: int) -> list[tuple[int, int]]:
+    """(mask, orbit size) for the smallest mask of every S_r x S_s orbit,
+    in increasing order.
 
     A prefix of the ascending row tuple grows by a row t >= its last and
     is kept when ``_place`` finds no smaller image of it; the test is
@@ -227,8 +228,7 @@ def _minimal_masks(r: int, s: int) -> list[tuple[int, int, int]]:
             else:
                 perms = math.prod(math.factorial(c) for c in mult.values())
                 mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
-                row_orbit = math.factorial(r) // perms
-                out.append((mask, scale // (branches * perms), row_orbit))
+                out.append((mask, scale // (branches * perms)))
 
     extend(())
     return out
@@ -355,12 +355,12 @@ def _scan(
     caller, which alone sees the whole cube.  ``on_graph(mask, basis,
     skip_eig)`` runs once per graph with an admissible class; the nonzero
     span of ``basis`` is the set of admissible negative-slot masks.
+    ``skip_eig`` holds when the graph's m edges are fewer than beta, the
+    larger root of x^2 - c x + d: then no class on it reaches the bound.
     """
     r, s = space.r, space.s
+    c, d = _coeffs(r, s)
     stats = SearchStats()
-    threshold = None
-    if space.prune_below is not None:
-        threshold = space.prune_below - WINDOW
     for mask, weight in masks:
         comps, cotree = _cotree(mask, r, s)
         if space.connected_only and comps != 1:
@@ -377,7 +377,8 @@ def _scan(
         if not admissible:
             continue
         stats.admissible += weight * admissible
-        skip_eig = threshold is not None and math.sqrt(mask.bit_count()) < threshold
+        m = mask.bit_count()
+        skip_eig = not (2 * m >= c and m * m - c * m + d >= 0)
         if skip_eig:
             stats.pruned += weight * admissible
         else:
@@ -409,15 +410,7 @@ def enumerate_admissible(
         for neg in sorted(_span(basis))[1:]:
             visitor(AdmissibleClass(r, s, mask, neg))
 
-    cube = range(1 << (r * s))
-    if space.canonical_underlying:
-        # keep the masks whose sorted rows are those of an orbit minimum
-        def sorted_rows(mask):
-            return tuple(sorted(_rows_of(mask, r, s)))
-
-        minima = {sorted_rows(mask) for mask, *_ in _minimal_masks(r, s)}
-        cube = (mask for mask in cube if sorted_rows(mask) in minima)
-    stats = _scan(space, ((mask, 1) for mask in cube), on_graph)
+    stats = _scan(space, ((mask, 1) for mask in range(1 << (r * s))), on_graph)
     stats.graphs_skipped = (1 << (r * s)) - stats.graphs
     return stats
 
@@ -476,7 +469,6 @@ class Certificate:
     observed_max: float
     unique: bool
     witnesses: tuple[str, ...]  # sg-format texts, one per maximizer class
-    tolerance: float
     detail: str
     disconnected_tie: bool
     result: SearchResult
@@ -492,7 +484,7 @@ class Certificate:
             "observed_max": self.observed_max,
             "unique": self.unique,
             "witnesses": list(self.witnesses),
-            "tolerance": self.tolerance,
+            "tolerance": BOUND_TOL,
             "detail": self.detail,
             "disconnected_tie": self.disconnected_tie,
             "stats": self.result.stats.to_dict(),
@@ -546,11 +538,7 @@ def run_search(space: SearchSpace) -> SearchResult:
     space.check_budget()
     t0 = time.perf_counter()
     r, s = space.r, space.s
-    # --canonical counts only the row permutations of each minimum
-    masks = [
-        (mask, row_orbit if space.canonical_underlying else orbit)
-        for mask, orbit, row_orbit in _minimal_masks(r, s)
-    ]
+    masks = _minimal_masks(r, s)
     if space.jobs == 1:
         parts = [_search_chunk((space, masks))]
     else:
@@ -595,35 +583,24 @@ def verify_fixed_sizes(
     *,
     jobs: int = 1,
     connected_only: bool = False,
-    canonical_underlying: bool = False,
     stretch: bool = False,
-    tolerance: float = BOUND_TOL,
 ) -> Certificate:
     """Exhaustively check the fixed-sizes bound and maximizer uniqueness.
 
     CONFIRMED requires the observed maximum to match the closed-form bound
-    within ``tolerance``, exactly one maximizer class in the retention
+    within ``BOUND_TOL``, exactly one maximizer class in the retention
     window, and that class switching isomorphic to the extremal
-    construction.  The construction's own radius seeds the structural
-    prune (graphs with sqrt(m) below it cannot reach the window), which
-    keeps the counters independent of chunking and worker count.
+    construction.  The budget is checked before the construction is built.
     """
-    construction, _ = extremal_graph(r, s)
-    rho0 = graph_spectrum(construction).lambda1
     space = SearchSpace(
-        r,
-        s,
-        connected_only=connected_only,
-        canonical_underlying=canonical_underlying,
-        jobs=jobs,
-        stretch=stretch,
-        prune_below=rho0,
+        r, s, connected_only=connected_only, jobs=jobs, stretch=stretch
     )
     result = run_search(space)
+    construction, _ = extremal_graph(r, s)
     bound = bound_fixed_sizes(r, s)
     if not result.maximizers:
         verdict, detail = INCONCLUSIVE, "no admissible class found"
-    elif abs(result.max_rho - bound) > tolerance:
+    elif abs(result.max_rho - bound) > BOUND_TOL:
         verdict = REFUTED
         detail = f"observed max {result.max_rho!r} vs bound {bound!r}"
     elif len(result.maximizers) != 1:
@@ -643,7 +620,6 @@ def verify_fixed_sizes(
         result.max_rho,
         len(result.maximizers) == 1,
         tuple(sgio.dumps(g) for g in result.maximizers),
-        tolerance,
         detail,
         disconnected_tie,
         result,
@@ -660,7 +636,6 @@ class OrderCertificate:
     observed_max: float
     winning_split: tuple[int, int]
     per_split: tuple[Certificate, ...]
-    tolerance: float
     detail: str
 
     def to_json_dict(self) -> dict:
@@ -671,7 +646,7 @@ class OrderCertificate:
             "observed_max": self.observed_max,
             "winning_split": list(self.winning_split),
             "per_split": [c.to_json_dict() for c in self.per_split],
-            "tolerance": self.tolerance,
+            "tolerance": BOUND_TOL,
             "detail": self.detail,
         }
 
@@ -684,7 +659,6 @@ def verify_fixed_order(
     *,
     jobs: int = 1,
     stretch: bool = False,
-    tolerance: float = BOUND_TOL,
 ) -> OrderCertificate:
     """Run the fixed-sizes search over every split (r, n-r), 3 <= r <= n//2,
     and certify that the global maximum matches the fixed-order bound and
@@ -694,19 +668,19 @@ def verify_fixed_order(
     # the largest split, r = n//2, sets the budget; refuse before any search
     SearchSpace(n // 2, n - n // 2, stretch=stretch).check_budget()
     certs = [
-        verify_fixed_sizes(r, n - r, jobs=jobs, stretch=stretch, tolerance=tolerance)
+        verify_fixed_sizes(r, n - r, jobs=jobs, stretch=stretch)
         for r in range(3, n // 2 + 1)
     ]
     best = max(certs, key=lambda c: c.observed_max)
     bound = bound_fixed_order(n)
     balanced = certs[-1]  # r = n//2 is the last split
     problems = []
-    if abs(best.observed_max - bound) > tolerance:
+    if abs(best.observed_max - bound) > BOUND_TOL:
         problems.append(f"global max {best.observed_max!r} vs bound {bound!r}")
     if (best.r, best.s) != (n // 2, n - n // 2):
         problems.append(f"maximum attained at split ({best.r},{best.s})")
     for cert in certs[:-1]:
-        if cert.observed_max >= best.observed_max - tolerance:
+        if cert.observed_max >= best.observed_max - BOUND_TOL:
             problems.append(f"split ({cert.r},{cert.s}) ties the maximum")
     if balanced.verdict != CONFIRMED:
         problems.append(f"balanced split verdict {balanced.verdict}")
@@ -721,7 +695,6 @@ def verify_fixed_order(
         best.observed_max,
         (best.r, best.s),
         tuple(certs),
-        tolerance,
         detail,
     )
 

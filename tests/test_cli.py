@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from sgraph import cli, core, sgio
+from sgraph import cli, core, search, sgio
 from sgraph.errors import ConvergenceFailureError
 from sgraph.extremal import extremal_graph
 
@@ -169,6 +169,18 @@ class TestBound:
         code, _, _ = run(capsys, "bound", "--n", "8", "--r", "3", "--s", "4")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--r", "3", "--s", str(10**200)), ("--n", str(10**400))],
+        ids=["sizes", "order"],
+    )
+    def test_beyond_float_range_exit_4(self, capsys, argv):
+        # the closed form's integer terms overflow a float: bad parameters,
+        # never an OverflowError traceback with exit 1, the REFUTED code
+        code, out, err = run(capsys, "bound", *argv)
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_sizes_3_3(self, capsys):
@@ -195,6 +207,16 @@ class TestVerify:
         assert code == 5
         code, _, err = run(capsys, "verify", "sizes", "6", "7", "--stretch")
         assert code == 5
+
+    def test_budget_refused_before_construction(self, capsys, monkeypatch):
+        # r*s = 3 * 10^11 is refused before the construction on 3 + 10^11
+        # vertices is built
+        def unbuildable(r, s):
+            raise AssertionError(f"built the construction for ({r},{s})")
+
+        monkeypatch.setattr(search, "extremal_graph", unbuildable)
+        code, out, _ = run(capsys, "verify", "sizes", "3", str(10**11))
+        assert code == 5 and out == ""
 
     def test_missing_s_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "sizes", "3")

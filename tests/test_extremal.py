@@ -90,6 +90,15 @@ class TestBoundFixedSizes:
         with pytest.raises(BadParamsError):
             bound_fixed_sizes(2, 6)
 
+    @pytest.mark.parametrize(
+        "r,s", [(3, 10**200), (10**8, 10**16)], ids=["overflow", "cancellation"]
+    )
+    def test_beyond_float_range(self, r, s):
+        # (3, 10^200): c^2 - 4d overflows a float; (10^8, 10^16): the small
+        # root cancels below zero
+        with pytest.raises(BadParamsError):
+            nonzero_eigenvalue_pair(r, s)
+
 
 class TestBoundFixedOrder:
     def test_known_values(self):
@@ -107,6 +116,11 @@ class TestBoundFixedOrder:
     def test_bad_params(self):
         with pytest.raises(BadParamsError):
             bound_fixed_order(5)
+
+    @pytest.mark.parametrize("n", [10**400, 10**400 + 1], ids=["even", "odd"])
+    def test_beyond_float_range(self, n):
+        with pytest.raises(BadParamsError):
+            bound_fixed_order(n)
 
 
 class TestCharPoly:
