@@ -250,12 +250,30 @@ class TestOrbitMinima:
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5), (4, 4)])
     @pytest.mark.parametrize(
-        "flags", [{}, {"connected_only": True}], ids=["plain", "connected"]
+        "flags,float_rule",
+        [({}, False), ({"connected_only": True}, False), ({}, True)],
+        ids=["plain", "connected", "pruned"],
     )
-    def test_weighted_counters_equal_full_cube(self, r, s, flags):
+    def test_weighted_counters_equal_full_cube(self, r, s, flags, float_rule):
+        """The orbit-weighted counters equal the full cube's.  The pruned
+        case also counts, class by class over the cube, the float rule
+        sqrt(m) < rho0 - WINDOW and checks the weighted prune against it."""
         space = SearchSpace(r, s, **flags)
-        cube = enumerate_admissible(space, lambda ac: None)
-        assert run_search(space).stats.to_dict() == cube.to_dict()
+        below = []
+        if float_rule:
+            rho0 = graph_spectrum(extremal_graph(r, s)[0]).lambda1
+            floor = rho0 - search.WINDOW
+            cube = enumerate_admissible(
+                space,
+                lambda ac: below.append(math.sqrt(ac.edge_mask.bit_count()) < floor),
+            )
+        else:
+            cube = enumerate_admissible(space, lambda ac: None)
+        stats = run_search(space).stats
+        assert stats.to_dict() == cube.to_dict()
+        if float_rule:
+            assert stats.pruned == sum(below)
+            assert stats.eigensolved == len(below) - sum(below)
 
     def test_identical_across_jobs_3_5(self):
         runs = [run_search(SearchSpace(3, 5, jobs=jobs)) for jobs in (1, 2, 3)]
