@@ -87,9 +87,6 @@ class SignedGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return self.sign(u, v) != 0
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -341,10 +338,12 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
 
     Searches the signed double cover: each vertex v lifts to (v, 0) and
     (v, 1), and an edge uv links sheets ((u,e) to (v,e)) when positive and
-    crosses them when negative.  A shortest negative cycle through v is a
-    shortest (v,0) -> (v,1) path; taking the minimum over v and splicing
-    out positive sub-loops of the projected walk yields a simple cycle,
-    which is necessarily chordless.
+    crosses them when negative.  A shortest (v,0) -> (v,1) path projects
+    to a shortest negative closed walk through v.  The shortest such walk
+    over all v is a simple cycle: a repeated vertex would split it into
+    two shorter closed walks, one of them negative, which the search from
+    that walk's vertex would have found.  A chord would split it the same
+    way, so the cycle is also chordless.
     """
     n = g.n
     adj = g.adjacency
@@ -383,43 +382,15 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
             best_len = len(best_walk) - 1
     if best_walk is None:
         return None
-    cycle = _extract_negative_cycle(g, best_walk)
+    cycle = best_walk[:-1]
+    if len(set(cycle)) != len(cycle):
+        raise SgraphError(f"shortest negative walk {best_walk} repeats a vertex")
     witness = CycleWitness.from_vertices(g, cycle)
     if witness.sign != -1:
         raise SgraphError(f"cycle {witness.vertices} found as negative is positive")
     if not witness.is_chordless(g):
         raise SgraphError(f"shortest negative cycle {witness.vertices} has a chord")
     return witness
-
-
-def _extract_negative_cycle(g: SignedGraph, walk: list[int]) -> list[int]:
-    """Reduce a closed negative walk to a simple negative cycle on it.
-
-    Positive sub-loops are spliced out; a negative sub-loop is returned as
-    soon as one closes.  The total walk sign is -1, so this terminates with
-    a negative simple cycle no longer than the walk.
-    """
-    stack = [walk[0]]
-    cum = [1]
-    pos = {walk[0]: 0}
-    for i in range(1, len(walk)):
-        w = walk[i]
-        s = g.sign(walk[i - 1], w)
-        c = cum[-1] * s
-        if w in pos:
-            j = pos[w]
-            loop_sign = c * cum[j]
-            if loop_sign == -1:
-                return stack[j:]
-            for x in stack[j + 1 :]:
-                del pos[x]
-            del stack[j + 1 :]
-            del cum[j + 1 :]
-        else:
-            stack.append(w)
-            cum.append(c)
-            pos[w] = len(stack) - 1
-    raise SgraphError("closed walk was not negative")
 
 
 def has_negative_c4(g: SignedGraph) -> CycleWitness | None:

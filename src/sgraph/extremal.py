@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .core import Bipartition, SignedGraph
 from .errors import BadParamsError, SgraphError, StructureCheckError
 from .spectral import (
+    MAX_DENSE_N,
     VertexPartition,
     adjacency_matrix,
     graph_spectrum,
@@ -65,8 +66,16 @@ def extremal_graph(r: int, s: int) -> tuple[SignedGraph, Bipartition]:
     r-1..r+s-3 are the two sides of the complete block, the deleted edge
     is (0, r-1), vertex r+s-2 neighbors 0, vertex r+s-1 neighbors r-1,
     and the edge between those two path vertices is the negative one.
+
+    Every caller takes the dense spectrum of the result or writes a file
+    that ``sgraph spectrum`` must read, so sizes with r + s above
+    ``spectral.MAX_DENSE_N`` raise BadParamsError before anything is built.
     """
     ExtremalParams(r, s)
+    if r + s > MAX_DENSE_N:
+        raise BadParamsError(
+            f"r + s = {r + s} exceeds the dense-matrix limit {MAX_DENSE_N}"
+        )
     u, v = 0, r - 1
     v1, u1 = r + s - 2, r + s - 1
     edges: list[tuple[int, int, int]] = []
@@ -111,7 +120,7 @@ def bound_fixed_order(n: int) -> float:
         t = n * n - 4 * n + 11
         value = _sqrt((t + _sqrt(t * t - 64 * (n - 2) * (n - 4))) / 8.0)
     balanced_split = bound_fixed_sizes(n // 2, n - n // 2)
-    if abs(value - balanced_split) > 1e-12:
+    if abs(value - balanced_split) > 1e-12 * max(1.0, value):
         raise SgraphError(
             f"order bound {value!r} differs from the balanced split's {balanced_split!r}"
         )

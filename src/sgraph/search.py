@@ -37,14 +37,16 @@ so the search's own forest never shows in the output.  A class's masks
 are closed under S_r x S_s, so its smallest mask is an orbit minimum, every
 class on it is solved, and the first one of each class in (mask,
 normal-form co-tree bits) order is the one a scan of the full cube would
-report.  Work can be partitioned into slices of the list of minima across
-processes; counters and results are merged deterministically, so the
-parallelism width never changes the output.
+report.  The unit of work is the first row of a minimum, 2^k - 1 for
+k = 0..s: each of these s + 1 tasks generates and scans its own minima,
+in one process or spread over a pool.  A task's minima, and so its
+eigensolve stacks, are the same for any number of processes, and the
+counters and results are merged deterministically, so the parallelism
+width never changes the output.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -204,20 +206,22 @@ def _place(rows, depth, cells, left) -> int | None:
     return total
 
 
-def _minimal_masks(r: int, s: int) -> list[tuple[int, int]]:
-    """(mask, orbit size) for the smallest mask of every S_r x S_s orbit,
-    in increasing order.
+def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
+    """(mask, orbit size) for the smallest mask of every S_r x S_s orbit
+    whose first row is 2^k - 1, in increasing order.
 
-    A prefix of the ascending row tuple grows by a row t >= its last and
-    is kept when ``_place`` finds no smaller image of it; the test is
-    hereditary, so a rejected prefix is never extended.  |Aut| of a full
-    tuple is the branch sum times prod(mult!) over its equal rows.
+    The first row of a minimum has its ones packed lowest, so k = 0..s
+    splits the minima into s + 1 disjoint lists.  A prefix of the
+    ascending row tuple grows by a row t >= its last and is kept when
+    ``_place`` finds no smaller image of it; the test is hereditary, so a
+    rejected prefix is never extended.  |Aut| of a full tuple is the
+    branch sum times prod(mult!) over its equal rows.
     """
     out = []
     scale = math.factorial(r) * math.factorial(s)
 
     def extend(prefix):
-        for t in range(prefix[-1] if prefix else 0, 1 << s):
+        for t in range(prefix[-1], 1 << s):
             rows = prefix + (t,)
             mult = Counter(rows)
             branches = _place(rows, 0, [((1 << s) - 1, 0)], mult)
@@ -230,7 +234,7 @@ def _minimal_masks(r: int, s: int) -> list[tuple[int, int]]:
                 mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
                 out.append((mask, scale // (branches * perms)))
 
-    extend(())
+    extend(((1 << k) - 1,))
     return out
 
 
@@ -416,9 +420,10 @@ def enumerate_admissible(
 
 
 def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
-    """Worker: max-tracking scan of a list of (mask, weight);
-    returns the counters, the maximum and its (rho, mask, neg) window."""
-    space, masks = args
+    """Worker: max-tracking scan of the orbit minima with first row
+    2^k - 1; returns the counters, the maximum and its (rho, mask, neg)
+    window."""
+    space, k = args
     best = -math.inf
     cands: list[tuple[float, int, int]] = []
     pending: list[tuple[int, int]] = []  # (mask, negative mask)
@@ -440,7 +445,7 @@ def _search_chunk(args) -> tuple[dict, float, list[tuple[float, int, int]]]:
         if len(pending) >= SOLVE_BLOCK:
             solve_pending()
 
-    stats = _scan(space, masks, on_graph)
+    stats = _scan(space, _minimal_masks(space.r, space.s, k), on_graph)
     if pending:
         solve_pending()
     return stats.to_dict(), best, cands
@@ -490,9 +495,6 @@ class Certificate:
             "stats": self.result.stats.to_dict(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
 
 CSV_HEADER = (
     "schema,r,s,graphs,graphs_skipped,classes,balanced_skipped,c4_skipped,"
@@ -538,16 +540,12 @@ def run_search(space: SearchSpace) -> SearchResult:
     space.check_budget()
     t0 = time.perf_counter()
     r, s = space.r, space.s
-    masks = _minimal_masks(r, s)
+    work = [(space, k) for k in range(s + 1)]
     if space.jobs == 1:
-        parts = [_search_chunk((space, masks))]
+        parts = [_search_chunk(w) for w in work]
     else:
-        # more processes than CPUs only add start-up cost
-        workers = min(space.jobs, os.cpu_count() or 1)
-        n_chunks = min(len(masks), 4 * workers)
-        # strided slices: dense masks, the costly ones, sit at the end
-        work = [(space, masks[i::n_chunks]) for i in range(n_chunks)]
-        with Pool(workers) as pool:
+        # more processes than CPUs or tasks only add start-up cost
+        with Pool(min(space.jobs, os.cpu_count() or 1, len(work))) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
     best = -math.inf
@@ -649,9 +647,6 @@ class OrderCertificate:
             "tolerance": BOUND_TOL,
             "detail": self.detail,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def verify_fixed_order(

@@ -14,7 +14,6 @@ its largest-magnitude entry is positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -100,9 +99,6 @@ class Spectrum:
             "rho": self.rho,
             "residual": self.residual,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
 
 def _solve(solver, a):
@@ -229,10 +225,6 @@ class QuotientMatrix:
     matrix: tuple[tuple[float, ...], ...]
     equitable: bool
     block_sizes: tuple[int, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.block_sizes)
 
     def as_array(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)

@@ -77,10 +77,7 @@ class TestSpectrum:
 
     def test_negative_cycle_guard_exit_4(self, capsys, g33_path, monkeypatch):
         # the guard's failure is an internal error, not REFUTED (exit 1)
-        extract = core._extract_negative_cycle
-        monkeypatch.setattr(
-            core, "_extract_negative_cycle", lambda g, walk: extract(g, [walk[0], walk[1], walk[0]])
-        )
+        monkeypatch.setattr(core.CycleWitness, "is_chordless", lambda self, g: False)
         code, out, err = run(capsys, "check", g33_path)
         assert code == 4 and out == ""
         assert err.startswith("error: ")
@@ -143,6 +140,15 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "2", "5", str(tmp_path / "x.sg"))
         assert code == 4
 
+    def test_past_dense_limit_exit_4(self, capsys):
+        # r + s = 2049: sgraph spectrum could not read the file, so it is
+        # refused before anything is built; 2048 is written
+        code, out, err = run(capsys, "construct", "3", "2046", "-")
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        code, out, _ = run(capsys, "construct", "3", "2045", "-")
+        assert code == 0 and sgio.loads(out).n == 2048
+
 
 class TestBound:
     def test_sizes(self, capsys):
@@ -160,6 +166,13 @@ class TestBound:
         doc = json.loads(out)
         assert doc["schema"] == 1 and doc["branch"] == "odd-n"
         assert abs(doc["gap"]) < 1e-9
+
+    def test_order_past_dense_limit_exit_4(self, capsys):
+        # the bound itself holds at n = 10^7; the construction's radius
+        # is what cannot be computed, so the error names the dense limit
+        code, out, err = run(capsys, "bound", "--n", str(10**7))
+        assert code == 4 and out == ""
+        assert err.startswith("error: ") and "dense-matrix limit" in err
 
     def test_small_n_exit_4(self, capsys):
         code, _, _ = run(capsys, "bound", "--n", "5")

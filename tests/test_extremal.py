@@ -69,6 +69,14 @@ class TestConstruction:
         with pytest.raises(BadParamsError):
             ExtremalParams(3, 2)
 
+    def test_dense_limit(self):
+        # r + s = 2049 is one vertex past spectral.MAX_DENSE_N: refused
+        # before any edge is built; 2048 still builds
+        with pytest.raises(BadParamsError, match="dense-matrix limit"):
+            extremal_graph(3, 2046)
+        g, _ = extremal_graph(3, 2045)
+        assert g.n == 2048 and g.m == 2 * 2044 - 1 + 3
+
 
 class TestBoundFixedSizes:
     def test_known_values(self):
@@ -112,6 +120,13 @@ class TestBoundFixedOrder:
                 abs(bound_fixed_order(n) - bound_fixed_sizes(n // 2, n - n // 2))
                 <= 1e-12
             )
+
+    @pytest.mark.parametrize("n", [10**7, 10**7 + 1, 10**8])
+    def test_large_n_agrees_with_balanced_split(self, n):
+        # from n = 10^7 the bound is about 5e6, and the two closed forms
+        # differ by ulps of that, far more than an absolute 1e-12
+        value = bound_fixed_order(n)
+        assert math.isclose(value, bound_fixed_sizes(n // 2, n - n // 2), rel_tol=1e-12)
 
     def test_bad_params(self):
         with pytest.raises(BadParamsError):

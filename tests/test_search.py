@@ -215,6 +215,11 @@ def brute_orbit_minima(r: int, s: int) -> list[int]:
     return out
 
 
+def all_minima(r: int, s: int) -> list[tuple[int, int]]:
+    """The search's tasks' minima, first row 2^0 - 1 up to 2^s - 1."""
+    return [m for k in range(s + 1) for m in _minimal_masks(r, s, k)]
+
+
 class TestOrbitMinima:
     """The search visits one mask per row-and-column orbit, the smallest,
     and weights it by the orbit size; enumerate_admissible walks the full
@@ -222,13 +227,20 @@ class TestOrbitMinima:
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (4, 4)])
     def test_masks_are_the_sorted_row_orbit_minima(self, r, s):
-        masks = [mask for mask, *_ in _minimal_masks(r, s)]
+        masks = [mask for mask, *_ in all_minima(r, s)]
         assert masks == sorted(brute_orbit_minima(r, s))
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (4, 4), (3, 6)])
+    def test_task_k_minima_have_first_row_2_to_k_minus_1(self, r, s):
+        for k in range(s + 1):
+            minima = _minimal_masks(r, s, k)
+            assert minima
+            assert all(mask >> (r - 1) * s == (1 << k) - 1 for mask, _ in minima)
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4)])
     def test_weights_are_orbit_sizes(self, r, s):
         full = (1 << s) - 1
-        for mask, weight in _minimal_masks(r, s):
+        for mask, weight in all_minima(r, s):
             rows = [(mask >> (a * s)) & full for a in range(r)]
             orbit = {
                 mask_of_rows([move_columns(row, cols) for row in perm], s)
@@ -244,7 +256,7 @@ class TestOrbitMinima:
     )
     def test_weights_cover_the_cube(self, r, s, count):
         # orbit counts: OEIS A028657
-        minima = _minimal_masks(r, s)
+        minima = all_minima(r, s)
         assert len(minima) == count
         assert sum(weight for _, weight in minima) == 1 << (r * s)
 
@@ -317,9 +329,9 @@ class TestOrbitMinima:
 
     def test_jobs_capped_at_cpu_count(self, monkeypatch):
         """--jobs beyond the CPU count asks for no more processes than
-        CPUs, and for at most 4 chunks per process.  The pool is a
-        stand-in that maps in-process, so no process is started however
-        large jobs is."""
+        CPUs or tasks, and maps exactly the s + 1 first-row tasks that
+        one job runs.  The pool is a stand-in that maps in-process, so no
+        process is started however large jobs is."""
         asked = []
         mapped = []
 
@@ -338,12 +350,12 @@ class TestOrbitMinima:
                 return [fn(w) for w in work]
 
         monkeypatch.setattr(search, "Pool", InProcessPool)
-        wide = run_search(SearchSpace(3, 3, jobs=10_000))
+        space = SearchSpace(3, 3, jobs=10_000)
+        wide = run_search(space)
         one = run_search(SearchSpace(3, 3))
         cpus = os.cpu_count() or 1
-        assert len(asked) == 1 and 1 <= asked[0] <= cpus
-        # chunks follow the capped worker count, not the asked-for jobs
-        assert 1 <= len(mapped) <= 4 * cpus
+        assert len(asked) == 1 and 1 <= asked[0] <= min(cpus, 3 + 1)
+        assert mapped == [(space, k) for k in range(3 + 1)]
         assert wide.max_rho == one.max_rho
         assert wide.maximizers == one.maximizers
         assert wide.stats == one.stats
