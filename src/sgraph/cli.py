@@ -6,7 +6,8 @@ the extremal graph), ``bound`` (closed-form bounds), ``verify``
 (exhaustive certification, by partite sizes or by order).
 
 Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse or I/O error,
-3 numeric failure, 4 bad parameters, 5 budget exceeded.  Machine output is
+3 numeric or internal failure (any other exception, such as one raised in
+a worker), 4 bad parameters, 5 budget exceeded.  Machine output is
 JSON (``--csv`` switches the verify statistics to CSV); every JSON
 document carries ``"schema": 1``.
 """
@@ -33,7 +34,13 @@ from .errors import (
     ParseError,
     SgraphError,
 )
-from .extremal import bound_report_order, bound_report_sizes, extremal_graph
+from .extremal import (
+    bound_fixed_order,
+    bound_fixed_sizes,
+    bound_report_order,
+    bound_report_sizes,
+    extremal_graph,
+)
 from .spectral import graph_spectrum
 
 EXIT_OK = 0
@@ -93,18 +100,20 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    # the plain value is the closed form alone; only --json builds the
+    # construction for its radius
     if args.n is not None:
         if args.r is not None or args.s is not None:
             raise BadParamsError("give either --n or both --r and --s")
-        report = bound_report_order(args.n)
+        params, bound, report = (args.n,), bound_fixed_order, bound_report_order
     else:
         if args.r is None or args.s is None:
             raise BadParamsError("give either --n or both --r and --s")
-        report = bound_report_sizes(args.r, args.s)
+        params, bound, report = (args.r, args.s), bound_fixed_sizes, bound_report_sizes
     if args.json:
-        _emit(report.to_json_dict())
+        _emit(report(*params).to_json_dict())
     else:
-        print(repr(report.bound))
+        print(repr(bound(*params)))
     return EXIT_OK
 
 
@@ -197,6 +206,9 @@ def main(argv=None) -> int:
     except (BadParamsError, SgraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except Exception as exc:  # anything else is a failure, never REFUTED
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -396,27 +396,31 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
 def has_negative_c4(g: SignedGraph) -> CycleWitness | None:
     """A negative 4-cycle, or None.
 
-    For each vertex pair {u, w} the products sign(ux)*sign(xw) over common
-    neighbors x are collected; a negative 4-cycle through u, w exists iff
-    both products +1 and -1 occur.
+    Each vertex has a bitmask of its neighbours and one of its negative
+    neighbours.  For a pair u < w, ``common`` holds their common
+    neighbours and ``minus`` those x with sign(ux)*sign(xw) = -1, the x
+    where exactly one of the two edges is negative.  A negative 4-cycle
+    through u and w exists iff ``minus`` is neither empty nor all of
+    ``common``; the first pair in order gives (u, lowest plus, w, lowest
+    minus).
     """
-    adj = g.adjacency
+    nbrs = [0] * g.n
+    negs = [0] * g.n
+    for u, v, s in g.edges:
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+        if s < 0:
+            negs[u] |= 1 << v
+            negs[v] |= 1 << u
     for u in range(g.n):
-        nbr_u = {x: s for x, s in adj[u]}
+        nbr_u, neg_u = nbrs[u], negs[u]
         for w in range(u + 1, g.n):
-            plus = minus = None
-            for x, sw in adj[w]:
-                su = nbr_u.get(x)
-                if su is None:
-                    continue
-                if su * sw == 1:
-                    if plus is None:
-                        plus = x
-                else:
-                    if minus is None:
-                        minus = x
-                if plus is not None and minus is not None:
-                    return CycleWitness.from_vertices(g, (u, plus, w, minus))
+            common = nbr_u & nbrs[w]
+            minus = common & (neg_u ^ negs[w])
+            if minus and minus != common:
+                plus = common ^ minus
+                x, y = ((b & -b).bit_length() - 1 for b in (plus, minus))
+                return CycleWitness.from_vertices(g, (u, x, w, y))
     return None
 
 

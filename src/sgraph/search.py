@@ -7,10 +7,11 @@ edge mask over the r*s complete-bipartite slots; bit a*s + b is the edge
 a.  On each graph, switching classes are walked by fixing a spanning
 forest all-positive, so that only co-tree edges may be negative
 (2^(m-n+c) classes, one per class).  Any spanning forest will do; the
-search takes the slots, in ascending order, that join two components.  A
-class is then a negative-edge slot mask inside the co-tree.  The empty
-mask is the balanced class and is skipped; a class is admissible when it
-is unbalanced and every 4-cycle has positive sign.  The 4-cycle condition
+search takes the slots, in ascending order, that join two components,
+computed row by row over column bitmasks (see ``_cotree``).  A class is
+then a negative-edge slot mask inside the co-tree.  The empty mask is the
+balanced class and is skipped; a class is admissible when it is
+unbalanced and every 4-cycle has positive sign.  The 4-cycle condition
 is a linear system over GF(2) in the co-tree slots, so the admissible
 classes are the nonzero vectors of its solution space, listed from a
 basis.  The randomized sampler draws from the same solution space.
@@ -242,23 +243,36 @@ def _cotree(mask: int, r: int, s: int) -> tuple[int, int]:
     """(component count, co-tree slot mask) of the subset graph.
 
     The spanning forest keeps each slot, taken in ascending order, that
-    joins two components (union-find); the co-tree is every other slot.
+    joins two components; the co-tree is every other slot.  Rows are
+    taken in turn, with the components met so far held as column masks.
+    Left vertex a is new when row a comes, so of each component that the
+    row meets the forest keeps the row's lowest column in it, and it keeps
+    every column not seen before; those components then merge.  Empty rows
+    and unseen columns are components of their own.
     """
-    root = list(range(r + s))
-    comps = r + s
-    cotree = 0
-    for i in _bit_list(mask):
-        u, v = i // s, r + i % s
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u == v:
-            cotree |= 1 << i
-        else:
-            root[u] = v
-            comps -= 1
-    return comps, cotree
+    full = (1 << s) - 1
+    groups: list[int] = []
+    seen = empty = cotree = 0
+    for a in range(r):
+        row = mask >> a * s & full
+        if not row:
+            empty += 1
+            continue
+        keep = row & ~seen
+        merged = row
+        apart = []
+        for cols in groups:
+            hit = row & cols
+            if hit:
+                keep |= hit & -hit
+                merged |= cols
+            else:
+                apart.append(cols)
+        apart.append(merged)
+        groups = apart
+        seen |= row
+        cotree |= (row ^ keep) << a * s
+    return len(groups) + empty + s - seen.bit_count(), cotree
 
 
 def _bit_list(x: int) -> list[int]:
@@ -271,24 +285,27 @@ def _bit_list(x: int) -> list[int]:
     return out
 
 
-def _gf2_nullspace_basis(rows: list[int], cols: int) -> list[int]:
+def _gf2_nullspace_basis(rows: Iterable[int], cols: int) -> list[int]:
     """Basis of {x within cols : popcount(x & row) even for every row} over
-    GF(2); the rows must lie within the column mask ``cols``.
+    GF(2); the rows must lie within the column mask ``cols``.  Rows are
+    consumed only until the constraints reach full rank.
 
     One vector per free column c: the unique solution whose free part is
     bit c.  The basis therefore depends only on the solution space, not
     on which rows span the constraints or their order.
     """
+    full_rank = cols.bit_count()
     pivots: dict[int, int] = {}  # leading bit -> row with that leading bit
     for row in rows:
         while row:
             lead = row.bit_length() - 1
-            if lead not in pivots:
+            pivot = pivots.get(lead)
+            if pivot is None:
                 pivots[lead] = row
+                if len(pivots) == full_rank:
+                    return []
                 break
-            row ^= pivots[lead]
-        if len(pivots) == cols.bit_count():
-            return []
+            row ^= pivot
     ascending = sorted(pivots.items())
     basis = []
     for fc in _bit_list(cols):
@@ -310,19 +327,24 @@ def _admissible_basis(mask: int, r: int, s: int, cotree: int) -> list[int]:
 
     For left vertices a1 < a2 with common neighbours c0 < c1 < ..., the
     4-cycles through (c0, cj) span those through every pair (ci, cj), so
-    only they become parity rows, each cut down to its co-tree slots.
+    only they become parity rows, each cut down to its co-tree slots.  The
+    rows are made as the elimination asks for them.
     """
     rows = _rows_of(mask, r, s)
-    parity = []
-    for a1 in range(r):
-        for a2 in range(a1 + 1, r):
-            common = rows[a1] & rows[a2]
-            c0 = common & -common
-            spread = 1 << a1 * s | 1 << a2 * s
-            parity.extend(
-                (c0 | 1 << c) * spread & cotree for c in _bit_list(common ^ c0)
-            )
-    return _gf2_nullspace_basis(parity, cotree)
+
+    def parity():
+        for a1 in range(r):
+            for a2 in range(a1 + 1, r):
+                common = rows[a1] & rows[a2]
+                c0 = common & -common
+                spread = 1 << a1 * s | 1 << a2 * s
+                common ^= c0
+                while common:
+                    c = common & -common
+                    yield (c0 | c) * spread & cotree
+                    common ^= c
+
+    return _gf2_nullspace_basis(parity(), cotree)
 
 
 def _span(basis: list[int]) -> list[int]:

@@ -5,6 +5,8 @@ balance is decided by trying every switching, negative 4-cycles by
 scanning every 4-subset, shortest negative cycles by exhaustive simple
 cycle enumeration, switching classes by orbit flooding over single
 vertex switchings, and switching isomorphism by trying every relabelling.
+The ``reference_*`` functions are earlier, plainer implementations of the
+package's kernels, kept as oracles for their faster replacements.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from sgraph import SignedGraph, relabel, switch
+from sgraph import CycleWitness, SignedGraph, relabel, switch
 
 
 def random_signed_graph(rng: random.Random, n: int, p: float = 0.45) -> SignedGraph:
@@ -158,3 +160,49 @@ def multiset_close(xs, ys, tol: float) -> bool:
     if len(xs) != len(ys):
         return False
     return all(abs(a - b) <= tol for a, b in zip(sorted(xs), sorted(ys)))
+
+
+def reference_cotree(mask: int, r: int, s: int) -> tuple[int, int]:
+    """(component count, co-tree slot mask) of the subset graph of slot
+    ``mask`` (slot a*s + b is the edge (a, r + b)), by union-find: the
+    forest keeps each slot, in ascending order, that joins two components."""
+    root = list(range(r + s))
+    comps = r + s
+    cotree = 0
+    for i in range(r * s):
+        if not mask >> i & 1:
+            continue
+        u, v = i // s, r + i % s
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u == v:
+            cotree |= 1 << i
+        else:
+            root[u] = v
+            comps -= 1
+    return comps, cotree
+
+
+def reference_has_negative_c4(g: SignedGraph) -> CycleWitness | None:
+    """The first negative 4-cycle (u, plus, w, minus) over pairs u < w in
+    order, plus and minus the lowest common neighbours whose two-edge
+    products are +1 and -1, by a dict scan of the adjacency lists."""
+    adj = g.adjacency
+    for u in range(g.n):
+        nbr_u = {x: s for x, s in adj[u]}
+        for w in range(u + 1, g.n):
+            plus = minus = None
+            for x, sw in adj[w]:
+                su = nbr_u.get(x)
+                if su is None:
+                    continue
+                if su * sw == 1:
+                    if plus is None:
+                        plus = x
+                elif minus is None:
+                    minus = x
+                if plus is not None and minus is not None:
+                    return CycleWitness.from_vertices(g, (u, plus, w, minus))
+    return None

@@ -3,11 +3,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from sgraph import cli, core, search, sgio
-from sgraph.errors import ConvergenceFailureError
-from sgraph.extremal import extremal_graph
+from sgraph import cli, core, extremal, search, sgio
+from sgraph.errors import (
+    BadParamsError,
+    BudgetExceededError,
+    ConvergenceFailureError,
+    ParseError,
+    SgraphError,
+)
+from sgraph.extremal import bound_fixed_order, extremal_graph
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -170,9 +177,21 @@ class TestBound:
     def test_order_past_dense_limit_exit_4(self, capsys):
         # the bound itself holds at n = 10^7; the construction's radius
         # is what cannot be computed, so the error names the dense limit
-        code, out, err = run(capsys, "bound", "--n", str(10**7))
+        code, out, err = run(capsys, "bound", "--n", str(10**7), "--json")
         assert code == 4 and out == ""
         assert err.startswith("error: ") and "dense-matrix limit" in err
+
+    def test_plain_order_past_dense_limit_prints_closed_form(self, capsys, monkeypatch):
+        # the plain value needs no construction, so none is built
+        def unbuildable(r, s):
+            raise AssertionError(f"built the construction for ({r},{s})")
+
+        monkeypatch.setattr(extremal, "extremal_graph", unbuildable)
+        code, out, err = run(capsys, "bound", "--n", str(10**7))
+        assert code == 0 and err == ""
+        assert out == repr(bound_fixed_order(10**7)) + "\n"
+        n = 10**7
+        assert abs(float(out) - (n - 6 + math.sqrt((n - 2) * (n + 6))) / 4) <= 1e-6
 
     def test_small_n_exit_4(self, capsys):
         code, _, _ = run(capsys, "bound", "--n", "5")
@@ -230,6 +249,54 @@ class TestVerify:
         monkeypatch.setattr(search, "extremal_graph", unbuildable)
         code, out, _ = run(capsys, "verify", "sizes", "3", str(10**11))
         assert code == 5 and out == ""
+
+    def test_worker_failure_exit_3(self, capsys, monkeypatch):
+        # an exception re-raised by the pool is an internal failure, exit
+        # 3, never a traceback with exit 1 (REFUTED); the pool is a
+        # stand-in that maps in-process
+        class FailingPool:
+            def __init__(self, processes):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                raise RuntimeError("worker died")
+
+        monkeypatch.setattr(search, "Pool", FailingPool)
+        code, out, err = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "worker died" in err
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (ParseError(1, "p"), 2),
+            (OSError("o"), 2),
+            (ConvergenceFailureError("c"), 3),
+            (MemoryError(), 3),
+            (np.linalg.LinAlgError("l"), 3),
+            (ValueError("v"), 3),
+            (BadParamsError("b"), 4),
+            (SgraphError("g"), 4),
+            (BudgetExceededError("x"), 5),
+        ],
+        ids=lambda x: type(x).__name__ if isinstance(x, BaseException) else str(x),
+    )
+    def test_no_failure_exits_1(self, capsys, monkeypatch, exc, code):
+        # exit 1 is kept for a REFUTED verdict; every failure maps elsewhere
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(search, "verify_fixed_sizes", fail)
+        got, out, err = run(capsys, "verify", "sizes", "3", "3")
+        assert got == code and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_s_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "sizes", "3")

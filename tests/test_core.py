@@ -37,8 +37,10 @@ from sgraph.extremal import extremal_graph
 
 from helpers import (
     brute_switching_isomorphic,
+    random_bipartite_signed_graph,
     random_connected_signed_graph,
     random_signed_graph,
+    reference_has_negative_c4,
 )
 
 
@@ -230,6 +232,24 @@ class TestHasNegativeC4:
     def test_k22_two_disjoint_negatives_is_positive_cycle(self):
         g = SignedGraph.from_edge_list(4, [(0, 2, -1), (0, 3, 1), (1, 2, 1), (1, 3, -1)])
         assert has_negative_c4(g) is None
+
+    def test_witness_matches_dict_scan_reference(self):
+        """The bitmask test returns the reference's witness, vertices and
+        sign, on general and bipartite graphs."""
+        rng = random.Random(23)
+        found = 0
+        for i in range(3000):
+            if i % 2:
+                g = random_signed_graph(rng, rng.randint(1, 13), rng.uniform(0.1, 0.9))
+            else:
+                r = rng.randint(1, 6)
+                g = random_bipartite_signed_graph(rng, r, rng.randint(r, 8), rng.random())
+            w, ref = has_negative_c4(g), reference_has_negative_c4(g)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert (w.vertices, w.sign) == (ref.vertices, ref.sign)
+                found += 1
+        assert 500 < found < 2500
 
 
 class TestForestNormalize:

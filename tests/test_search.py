@@ -40,6 +40,8 @@ from sgraph.search import (
     verify_fixed_sizes,
 )
 
+from helpers import reference_cotree
+
 
 def brute_admissible_class_count(r: int, s: int) -> int:
     """Independent oracle: every subset of complete-bipartite edge slots,
@@ -322,6 +324,27 @@ class TestOrbitMinima:
             rng.shuffle(shuffled)
             assert _gf2_nullspace_basis(shuffled, cols) == basis
 
+    def test_cotree_matches_union_find(self):
+        """The row-wise forest is the union-find forest in slot order, on
+        masks of any density with empty rows and isolated columns."""
+        rng = random.Random(17)
+        blank_rows = blank_cols = 0
+        for _ in range(4000):
+            r, s = rng.randint(1, 8), rng.randint(1, 10)
+            density = rng.random()
+            mask = sum(1 << i for i in range(r * s) if rng.random() < density)
+            for a in range(r):
+                if rng.random() < 0.15:
+                    mask &= ~(((1 << s) - 1) << a * s)
+            column = sum(1 << a * s for a in range(r))
+            for b in range(s):
+                if rng.random() < 0.15:
+                    mask &= ~(column << b)
+            blank_rows += 0 in search._rows_of(mask, r, s)
+            blank_cols += any(not (mask >> b) & column for b in range(s))
+            assert _cotree(mask, r, s) == reference_cotree(mask, r, s)
+        assert blank_rows > 1000 and blank_cols > 1000
+
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5)])
     def test_maximizers_are_forest_normal_forms(self, r, s):
         for g in run_search(SearchSpace(r, s)).maximizers:
@@ -463,6 +486,34 @@ class TestSpotCheck:
     def test_beyond_exhaustive_budget(self):
         report = spot_check_random(5, 5, trials=50, seed=11)
         assert report.violations == 0
+
+    # Reports without wall_time.  The draws, and so every field, follow
+    # from the forest, the basis order and the guards, so a rewrite of any
+    # of them must reproduce these bit for bit.  The first two are the
+    # sample-bounds benchmark plan, seeds from random.Random(1).
+    PINNED = [
+        (6, 8, 2000, 577090037, 5870, 4.767150682035358, 5.788638097152354),
+        (8, 10, 1000, 2444712010, 5980, 5.669358795875204, 7.835859367882814),
+        (3, 4, 400, 7, 12108, 2.23606797749979, 2.23606797749979),
+        (5, 5, 0, 1, 0, 0.0, 3.82842712474619),
+        (4, 4, 100, 3, 1070, 2.7912878474779204, 2.79128784747792),
+        (5, 5, 50, 11, 226, 3.3564009308471263, 3.82842712474619),
+    ]
+
+    @pytest.mark.parametrize("r,s,trials,seed,resampled,max_observed,bound", PINNED)
+    def test_reports_pinned(self, r, s, trials, seed, resampled, max_observed, bound):
+        report = spot_check_random(r, s, trials, seed).to_json_dict()
+        del report["wall_time"]
+        assert report == {
+            "r": r,
+            "s": s,
+            "trials": trials,
+            "seed": seed,
+            "violations": 0,
+            "resampled": resampled,
+            "max_observed": max_observed,
+            "bound": bound,
+        }
 
 
 class TestStretch:
