@@ -134,6 +134,8 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
     if args.b is not None:
         raise BadParamsError("verify order takes a single n")
+    if args.connected_only:
+        raise BadParamsError("verify order does not take --connected-only")
     cert = search.verify_fixed_order(args.a, jobs=args.jobs, stretch=args.stretch)
     if args.csv:
         print(search.CSV_HEADER)

@@ -22,7 +22,11 @@ rows, read as s-bit integers, ascend from row r-1, the most significant,
 so mask order is the lexicographic order of that row tuple.  The minima
 are generated row by row (Read and McKay's orderly generation), keeping
 a prefix only when no row and column permutation makes it smaller, and
-each stands for its orbit of r!*s!/|Aut| labelled graphs.  The counters
+each stands for its orbit of r!*s!/|Aut| labelled graphs.  A kept prefix
+keeps the nodes of its placement tree: only rows packed in the cells of
+its own row order are tried, each is tested at those nodes and placed
+from their leaves, and the tree is re-built only when the new row could
+take an earlier place (see ``_minimal_masks``).  The counters
 are isomorphism invariants, so the weighted totals equal those of the
 full 2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the
 r x s signed biadjacency matrix B, solved by numpy on stacks of classes.
@@ -181,13 +185,16 @@ def _refine(row: int, cells: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _place(rows, depth, cells, left) -> int | None:
+def _place(rows, depth, cells, left, nodes=None) -> int | None:
     """Place the rows ``left`` (value -> count) at positions depth, depth+1,
     ... of the ascending tuple ``rows``, trying each value whose packed
     image is the smallest.  None when a placement gives a smaller tuple;
     else the sum of prod(cell size!), a coset of column permutations, over
-    the orders of distinct values that give ``rows``.
+    the orders of distinct values that give ``rows``.  Every (depth, cells)
+    node it expands, leaves included, is appended to ``nodes`` if given.
     """
+    if nodes is not None:
+        nodes.append((depth, cells))
     if depth == len(rows):
         return math.prod(math.factorial(cols.bit_count()) for cols, _ in cells)
     total = 0
@@ -199,7 +206,7 @@ def _place(rows, depth, cells, left) -> int | None:
             return None
         if img == rows[depth]:
             left[value] = count - 1
-            sub = _place(rows, depth + 1, _refine(value, cells), left)
+            sub = _place(rows, depth + 1, _refine(value, cells), left, nodes)
             left[value] = count
             if sub is None:
                 return None
@@ -217,25 +224,53 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
     ``_place`` finds no smaller image of it; the test is hereditary, so a
     rejected prefix is never extended.  |Aut| of a full tuple is the
     branch sum times prod(mult!) over its equal rows.
+
+    A kept prefix P carries the nodes of its ``_place`` tree.  Placed in
+    their own order, P's rows reach a leaf whose cells are intervals; a
+    row not packed in them has a smaller image there, so only packed rows
+    are tried.  P's inner nodes are nodes of the tree of P + (t,), with t
+    among the rows left, so t is rejected if its image at one is below P's
+    row at that depth.  If t > P[-1] and its image is above at all of
+    them, t is never placed early, and the tree of P + (t,) is P's inner
+    nodes plus one placement of t from each leaf.  An equal image, or
+    t == P[-1], re-runs ``_place`` on the whole tuple.
     """
     out = []
     scale = math.factorial(r) * math.factorial(s)
+    root = [((1 << s) - 1, 0)]
 
-    def extend(prefix):
-        for t in range(prefix[-1], 1 << s):
+    def extend(prefix, nodes, ident):
+        last, depth = prefix[-1], len(prefix)
+        inner = [node for node in nodes if node[0] < depth]
+        packed = [0]
+        for cols, lo in ident:
+            ones = range(cols.bit_count() + 1)
+            packed = [x | ((1 << c) - 1) << lo for x in packed for c in ones]
+        for t in sorted(x for x in packed if x >= last):
             rows = prefix + (t,)
-            mult = Counter(rows)
-            branches = _place(rows, 0, [((1 << s) - 1, 0)], mult)
+            gap = min(_packed(t, cells) - rows[d] for d, cells in inner)
+            if gap < 0:
+                continue
+            if gap and t > last:
+                grown = inner[:]
+                subs = [_place(rows, depth, c, {t: 1}, grown) for d, c in nodes if d == depth]
+                branches = None if None in subs else sum(subs)
+            else:
+                grown = []
+                branches = _place(rows, 0, root, Counter(rows), grown)
             if branches is None:
                 continue
             if len(rows) < r:
-                extend(rows)
+                extend(rows, grown, _refine(t, ident))
             else:
-                perms = math.prod(math.factorial(c) for c in mult.values())
+                perms = math.prod(math.factorial(c) for c in Counter(rows).values())
                 mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
                 out.append((mask, scale // (branches * perms)))
 
-    extend(((1 << k) - 1,))
+    first = ((1 << k) - 1,)
+    nodes = []
+    _place(first, 0, root, {first[0]: 1}, nodes)
+    extend(first, nodes, _refine(first[0], root))
     return out
 
 

@@ -11,10 +11,13 @@ package's kernels, kept as oracles for their faster replacements.
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 from sgraph import CycleWitness, SignedGraph, relabel, switch
+from sgraph.search import _place
 
 
 def random_signed_graph(rng: random.Random, n: int, p: float = 0.45) -> SignedGraph:
@@ -206,3 +209,28 @@ def reference_has_negative_c4(g: SignedGraph) -> CycleWitness | None:
                 if plus is not None and minus is not None:
                     return CycleWitness.from_vertices(g, (u, plus, w, minus))
     return None
+
+
+def reference_minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
+    """(mask, orbit size) of every S_r x S_s orbit minimum with first row
+    2^k - 1, in increasing order: each row t >= the prefix's last is
+    appended and the whole tuple is placed by ``_place`` from scratch."""
+    out = []
+    scale = math.factorial(r) * math.factorial(s)
+
+    def extend(prefix):
+        for t in range(prefix[-1], 1 << s):
+            rows = prefix + (t,)
+            mult = Counter(rows)
+            branches = _place(rows, 0, [((1 << s) - 1, 0)], mult)
+            if branches is None:
+                continue
+            if len(rows) < r:
+                extend(rows)
+            else:
+                perms = math.prod(math.factorial(c) for c in mult.values())
+                mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
+                out.append((mask, scale // (branches * perms)))
+
+    extend(((1 << k) - 1,))
+    return out

@@ -302,6 +302,16 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "sizes", "3")
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "extra", [("7",), ("--connected-only",)], ids=["second_size", "connected_only"]
+    )
+    def test_order_refuses_sizes_options_exit_4(self, capsys, extra):
+        # the order search runs every split in full; an option it would
+        # ignore is refused, not dropped from the certificate in silence
+        code, out, err = run(capsys, "verify", "order", "6", *extra)
+        assert code == 4 and out == ""
+        assert err.startswith("error: verify order ") and err.count("\n") == 1
+
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")
         _, out2, _ = run(capsys, "verify", "sizes", "3", "3")

@@ -40,7 +40,7 @@ from sgraph.search import (
     verify_fixed_sizes,
 )
 
-from helpers import reference_cotree
+from helpers import reference_cotree, reference_minimal_masks
 
 
 def brute_admissible_class_count(r: int, s: int) -> int:
@@ -253,8 +253,28 @@ class TestOrbitMinima:
             assert mask == min(orbit)
 
     @pytest.mark.parametrize(
+        "r,s",
+        [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 4), (4, 5), (4, 6), (5, 5)],
+    )
+    def test_tree_reuse_matches_placement_from_scratch(self, r, s):
+        # every (mask, weight) list, in order, equals the one from placing
+        # each candidate tuple from scratch
+        for k in range(s + 1):
+            assert _minimal_masks(r, s, k) == reference_minimal_masks(r, s, k)
+
+    @pytest.mark.parametrize(
         "r,s,count",
-        [(3, 3, 36), (3, 4, 87), (3, 5, 190), (3, 6, 386), (4, 4, 317), (4, 5, 1053)],
+        [
+            (3, 3, 36),
+            (3, 4, 87),
+            (3, 5, 190),
+            (3, 6, 386),
+            (3, 7, 734),
+            (4, 4, 317),
+            (4, 5, 1053),
+            (4, 6, 3250),
+            (5, 5, 5624),
+        ],
     )
     def test_weights_cover_the_cube(self, r, s, count):
         # orbit counts: OEIS A028657
