@@ -254,11 +254,15 @@ class TestOrbitMinima:
 
     @pytest.mark.parametrize(
         "r,s",
-        [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 4), (4, 5), (4, 6), (5, 5)],
+        [
+            (3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+            (4, 4), (4, 5), (4, 6), (4, 7), (5, 5), (5, 6),
+        ],
     )
     def test_tree_reuse_matches_placement_from_scratch(self, r, s):
         # every (mask, weight) list, in order, equals the one from placing
-        # each candidate tuple from scratch
+        # each candidate tuple from scratch; (4,7) and (5,6) are rich in
+        # rows that repeat the prefix's last row or tie at an inner node
         for k in range(s + 1):
             assert _minimal_masks(r, s, k) == reference_minimal_masks(r, s, k)
 
@@ -274,6 +278,7 @@ class TestOrbitMinima:
             (4, 5, 1053),
             (4, 6, 3250),
             (5, 5, 5624),
+            (5, 6, 28576),
         ],
     )
     def test_weights_cover_the_cube(self, r, s, count):
