@@ -29,7 +29,7 @@ tested and placed at those nodes, never from the root (see
 ``_minimal_masks``).  The counters
 are isomorphism invariants, so the weighted totals equal those of the
 full 2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the
-r x s signed biadjacency matrix B, solved by numpy on stacks of classes.
+r x s signed biadjacency matrix B, solved by numpy in one stack per search.
 A graph with m edges has rho^2 <= tr(B B^T) = m, so its classes skip the
 eigensolve when m is below beta, the square of the closed-form bound: an
 integer test on (r, s, m) that the search derives from (r, s) alone.
@@ -44,10 +44,11 @@ class on it is solved, and the first one of each class in (mask,
 normal-form co-tree bits) order is the one a scan of the full cube would
 report.  The unit of work is the first row of a minimum, 2^k - 1 for
 k = 0..s: each of these s + 1 tasks generates and scans its own minima,
-in one process or spread over a pool.  A task's minima, and so its
-eigensolve stacks, are the same for any number of processes, and the
-counters and results are merged deterministically, so the parallelism
-width never changes the output.
+in one process or spread over a pool, and returns its counters and the
+classes the prune keeps.  The parent concatenates them in task order and
+solves every kept class in one stack; numpy's radius for a class does not
+depend on the stack it is solved in, so the parallelism width never
+changes the output.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ HARD_BUDGET_RS = 36
 CUBE_BUDGET_RS = 20  # enumerate_admissible walks all 2^(r*s) labelled masks
 WINDOW = 1e-9  # maximizer retention window around the observed max
 BOUND_TOL = 1e-8  # certificate tolerance against the closed-form bound
-SOLVE_BLOCK = 256  # classes per stacked eigensolve; keeps its temporaries small
+SOLVE_BLOCK = 256  # sampler draws per stacked eigensolve
 
 CONFIRMED = "CONFIRMED"
 REFUTED = "REFUTED"
@@ -188,14 +189,14 @@ def _place(rows, depth, cells, left, nodes=None) -> int | None:
     """Place the rows ``left`` (value -> count) at positions depth, depth+1,
     ... of the ascending tuple ``rows``, trying each value whose packed
     image is the smallest.  None when a placement gives a smaller tuple;
-    else the sum of prod(cell size!), a coset of column permutations, over
-    the orders of distinct values that give ``rows``.  Each node it
-    expands is appended to ``nodes`` if given: (depth, cells, rows left).
+    else the number of orders of distinct values that give ``rows``.  Each
+    node it expands is appended to ``nodes`` if given: (depth, cells, rows
+    left).
     """
     if nodes is not None:
         nodes.append((depth, cells, dict(left)))
     if depth == len(rows):
-        return math.prod(math.factorial(cols.bit_count()) for cols, _ in cells)
+        return 1
     total = 0
     for value, count in left.items():
         if not count:
@@ -221,8 +222,9 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
     splits the minima into s + 1 disjoint lists.  A prefix of the
     ascending row tuple grows by a row t >= its last and is kept when
     ``_place`` finds no smaller image of it; the test is hereditary, so a
-    rejected prefix is never extended.  |Aut| of a full tuple is the
-    branch sum times prod(mult!) over its equal rows.
+    rejected prefix is never extended.  |Aut| of a full tuple is its
+    placement count times prod(mult!) over its equal rows and over its
+    equal columns, the cells of its own row order.
 
     A kept prefix P carries the nodes of its ``_place`` tree; a leaf is a
     node with no rows left.  Placed in their own order, P's rows reach a
@@ -258,10 +260,12 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
                 subs = [_place(rows, d + 1, _refine(t, c), left, grown) for d, c, left in ties]
                 if None in subs:
                     continue
+                cells = _refine(t, ident)
                 if grown is not None:
-                    extend(rows, grown, _refine(t, ident))
+                    extend(rows, grown, cells)
                 else:
                     perms = math.prod(math.factorial(rows.count(x)) for x in set(rows))
+                    perms *= math.prod(math.factorial(c.bit_count()) for c, _ in cells)
                     mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
                     out.append((mask, scale // (sum(subs) * perms)))
 
@@ -474,36 +478,19 @@ def enumerate_admissible(
     return stats
 
 
-def _search_chunk(args) -> tuple[SearchStats, float, list[tuple[float, int, int]]]:
-    """Worker: max-tracking scan of the orbit minima with first row
-    2^k - 1; returns the counters, the maximum and its (rho, mask, neg)
-    window."""
+def _search_chunk(args) -> tuple[SearchStats, list[tuple[int, int]]]:
+    """Worker: scan the orbit minima with first row 2^k - 1; returns the
+    counters and the (mask, negative mask) of every class the prune
+    keeps, in scan order."""
     space, k = args
-    best = -math.inf
-    cands: list[tuple[float, int, int]] = []
-    pending: list[tuple[int, int]] = []  # (mask, negative mask)
-
-    def solve_pending():
-        nonlocal best, cands
-        rhos = _spectral_radii(space.r, space.s, pending)
-        best = max(best, float(rhos.max()))
-        floor = best - WINDOW
-        cands = [c for c in cands if c[0] >= floor]
-        for i in np.flatnonzero(rhos >= floor).tolist():
-            cands.append((float(rhos[i]), *pending[i]))
-        pending.clear()
+    kept: list[tuple[int, int]] = []
 
     def on_graph(mask, basis, skip_eig):
-        if skip_eig:
-            return
-        pending.extend((mask, neg) for neg in _span(basis)[1:])
-        if len(pending) >= SOLVE_BLOCK:
-            solve_pending()
+        if not skip_eig:
+            kept.extend((mask, neg) for neg in _span(basis)[1:])
 
     stats = _scan(space, _minimal_masks(space.r, space.s, k), on_graph)
-    if pending:
-        solve_pending()
-    return stats, best, cands
+    return stats, kept
 
 
 @dataclass(frozen=True)
@@ -603,16 +590,16 @@ def run_search(space: SearchSpace) -> SearchResult:
         with Pool(min(space.jobs, os.cpu_count() or 1, len(work))) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
-    best = -math.inf
-    cands: list[tuple[float, int, int]] = []
-    for part_stats, part_best, part_cands in parts:
+    kept: list[tuple[int, int]] = []
+    for part_stats, part_kept in parts:
         stats.merge(part_stats)
-        best = max(best, part_best)
-        cands.extend(part_cands)
+        kept.extend(part_kept)
     stats.graphs_skipped = (1 << (r * s)) - stats.graphs
+    rhos = _spectral_radii(r, s, kept).tolist() if kept else []
+    best = max(rhos, default=-math.inf)
     # representatives and their order come from core.forest_normalize alone
     normal = []
-    for rho, mask, neg in cands:
+    for rho, (mask, neg) in zip(rhos, kept):
         if rho < best - WINDOW:
             continue
         nf = forest_normalize(AdmissibleClass(r, s, mask, neg).signed_graph())

@@ -214,7 +214,9 @@ def reference_has_negative_c4(g: SignedGraph) -> CycleWitness | None:
 def reference_minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
     """(mask, orbit size) of every S_r x S_s orbit minimum with first row
     2^k - 1, in increasing order: each row t >= the prefix's last is
-    appended and the whole tuple is placed by ``_place`` from scratch."""
+    appended and the whole tuple is placed by ``_place`` from scratch.
+    |Aut| is the placement count times the factorials of the multiplicities
+    of equal rows and of equal columns."""
     out = []
     scale = math.factorial(r) * math.factorial(s)
 
@@ -228,7 +230,10 @@ def reference_minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
             if len(rows) < r:
                 extend(rows)
             else:
-                perms = math.prod(math.factorial(c) for c in mult.values())
+                cols = Counter(tuple(row >> j & 1 for row in rows) for j in range(s))
+                perms = math.prod(
+                    math.factorial(c) for c in (*mult.values(), *cols.values())
+                )
                 mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
                 out.append((mask, scale // (branches * perms)))
 

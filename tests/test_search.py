@@ -222,6 +222,32 @@ def all_minima(r: int, s: int) -> list[tuple[int, int]]:
     return [m for k in range(s + 1) for m in _minimal_masks(r, s, k)]
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace search's Pool by a stand-in that maps in-process, so no
+    process is started however many are asked for.  Returns the pool sizes
+    asked for and the work mapped."""
+    asked = []
+    mapped = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            mapped.extend(work)
+            return [fn(w) for w in work]
+
+    monkeypatch.setattr(search, "Pool", InProcessPool)
+    return asked, mapped
+
+
 class TestOrbitMinima:
     """The search visits one mask per row-and-column orbit, the smallest,
     and weights it by the orbit size; enumerate_admissible walks the full
@@ -315,15 +341,53 @@ class TestOrbitMinima:
             assert stats.eigensolved == len(below) - sum(below)
 
     def test_identical_across_jobs_3_5(self):
-        runs = [run_search(SearchSpace(3, 5, jobs=jobs)) for jobs in (1, 2, 3)]
-        for res in runs[1:]:
-            assert res.max_rho == runs[0].max_rho
-            assert res.maximizers == runs[0].maximizers
-            assert res.stats == runs[0].stats
-        certs = [verify_fixed_sizes(3, 5, jobs=jobs) for jobs in (1, 2, 3)]
-        for cert in certs[1:]:
-            assert cert.observed_max == certs[0].observed_max
-            assert cert.witnesses == certs[0].witnesses
+        # at (4,5) three tasks keep classes, so their concatenation counts
+        for r, s in [(3, 5), (4, 5)]:
+            runs = [run_search(SearchSpace(r, s, jobs=jobs)) for jobs in (1, 2, 3)]
+            for res in runs[1:]:
+                assert res.max_rho == runs[0].max_rho
+                assert res.maximizers == runs[0].maximizers
+                assert res.stats == runs[0].stats
+            certs = [verify_fixed_sizes(r, s, jobs=jobs) for jobs in (1, 2, 3)]
+            for cert in certs[1:]:
+                assert cert.observed_max == certs[0].observed_max
+                assert cert.witnesses == certs[0].witnesses
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("r,s,kept", [(3, 5, 8), (4, 5, 52)])
+    def test_one_solve_per_search(self, monkeypatch, in_process_pool, r, s, kept, jobs):
+        """The workers solve nothing: run_search solves every class the
+        prune keeps in one call."""
+        calls = []
+        solve = search._spectral_radii
+
+        def recording(r, s, signed):
+            calls.append(len(signed))
+            return solve(r, s, signed)
+
+        monkeypatch.setattr(search, "_spectral_radii", recording)
+        run_search(SearchSpace(r, s, jobs=jobs))
+        assert calls == [kept]
+
+    @pytest.mark.parametrize("r,s", [(3, 5), (5, 6), (8, 10)])
+    def test_radii_do_not_depend_on_stack_grouping(self, r, s):
+        """One stack, slices of 97 and single classes give bit-identical
+        radii, so solving a search's classes in one stack changes none."""
+        rng = random.Random(r * 100 + s)
+        signed = []
+        while len(signed) < 700:
+            mask = rng.getrandbits(r * s)
+            basis = search._admissible_basis(mask, r, s, _cotree(mask, r, s)[1])
+            if basis:
+                signed.append((mask, _span(basis)[rng.randrange(1, 1 << len(basis))]))
+        whole = _spectral_radii(r, s, signed).tolist()
+        sliced = [
+            rho
+            for i in range(0, len(signed), 97)
+            for rho in _spectral_radii(r, s, signed[i : i + 97]).tolist()
+        ]
+        single = [_spectral_radii(r, s, [c]).tolist()[0] for c in signed]
+        assert whole == sliced == single
 
     def test_gram_radii_match_graph_spectrum(self):
         classes = []
@@ -375,29 +439,12 @@ class TestOrbitMinima:
         for g in run_search(SearchSpace(r, s)).maximizers:
             assert forest_normalize(g).graph == g
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch):
+    def test_jobs_capped_at_cpu_count(self, in_process_pool):
         """--jobs beyond the CPU count asks for no more processes than
         CPUs or tasks, and maps exactly the s + 1 first-row tasks that
         one job runs.  The pool is a stand-in that maps in-process, so no
         process is started however large jobs is."""
-        asked = []
-        mapped = []
-
-        class InProcessPool:
-            def __init__(self, processes):
-                asked.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                mapped.extend(work)
-                return [fn(w) for w in work]
-
-        monkeypatch.setattr(search, "Pool", InProcessPool)
+        asked, mapped = in_process_pool
         space = SearchSpace(3, 3, jobs=10_000)
         wide = run_search(space)
         one = run_search(SearchSpace(3, 3))
