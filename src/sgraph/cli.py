@@ -124,7 +124,6 @@ def _cmd_verify(args) -> int:
             args.b,
             jobs=args.jobs,
             stretch=args.stretch,
-            connected_only=args.connected_only,
         )
         if args.csv:
             print(search.CSV_HEADER)
@@ -134,8 +133,6 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
     if args.b is not None:
         raise BadParamsError("verify order takes a single n")
-    if args.connected_only:
-        raise BadParamsError("verify order does not take --connected-only")
     cert = search.verify_fixed_order(args.a, jobs=args.jobs, stretch=args.stretch)
     if args.csv:
         print(search.CSV_HEADER)
@@ -184,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"allow r*s up to {search.HARD_BUDGET_RS} "
         f"(default limit {search.DEFAULT_EXHAUSTIVE_RS})",
     )
-    p.add_argument("--connected-only", action="store_true")
     p.add_argument("--csv", action="store_true", help="statistics as CSV")
     p.set_defaults(func=_cmd_verify)
     return parser

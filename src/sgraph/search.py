@@ -94,7 +94,6 @@ class SearchSpace:
 
     r: int
     s: int
-    connected_only: bool = False
     jobs: int = 1
     stretch: bool = False
 
@@ -276,24 +275,22 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _cotree(mask: int, r: int, s: int) -> tuple[int, int]:
-    """(component count, co-tree slot mask) of the subset graph.
+def _cotree(mask: int, r: int, s: int) -> int:
+    """Co-tree slot mask of the subset graph.
 
     The spanning forest keeps each slot, taken in ascending order, that
     joins two components; the co-tree is every other slot.  Rows are
     taken in turn, with the components met so far held as column masks.
     Left vertex a is new when row a comes, so of each component that the
     row meets the forest keeps the row's lowest column in it, and it keeps
-    every column not seen before; those components then merge.  Empty rows
-    and unseen columns are components of their own.
+    every column not seen before; those components then merge.
     """
     full = (1 << s) - 1
     groups: list[int] = []
-    seen = empty = cotree = 0
+    seen = cotree = 0
     for a in range(r):
         row = mask >> a * s & full
         if not row:
-            empty += 1
             continue
         keep = row & ~seen
         merged = row
@@ -309,7 +306,7 @@ def _cotree(mask: int, r: int, s: int) -> tuple[int, int]:
         groups = apart
         seen |= row
         cotree |= (row ^ keep) << a * s
-    return len(groups) + empty + s - seen.bit_count(), cotree
+    return cotree
 
 
 def _bit_list(x: int) -> list[int]:
@@ -425,9 +422,7 @@ def _scan(
     c, d = _coeffs(r, s)
     stats = SearchStats()
     for mask, weight in masks:
-        comps, cotree = _cotree(mask, r, s)
-        if space.connected_only and comps != 1:
-            continue
+        cotree = _cotree(mask, r, s)
         stats.graphs += weight
         k = cotree.bit_count()
         stats.classes += weight << k
@@ -583,11 +578,12 @@ def run_search(space: SearchSpace) -> SearchResult:
     t0 = time.perf_counter()
     r, s = space.r, space.s
     work = [(space, k) for k in range(s + 1)]
-    if space.jobs == 1:
+    # more processes than CPUs or tasks only add start-up cost
+    workers = min(space.jobs, os.cpu_count() or 1, len(work))
+    if workers == 1:
         parts = [_search_chunk(w) for w in work]
     else:
-        # more processes than CPUs or tasks only add start-up cost
-        with Pool(min(space.jobs, os.cpu_count() or 1, len(work))) as pool:
+        with Pool(workers) as pool:
             parts = pool.map(_search_chunk, work)
     stats = SearchStats()
     kept: list[tuple[int, int]] = []
@@ -622,7 +618,6 @@ def verify_fixed_sizes(
     s: int,
     *,
     jobs: int = 1,
-    connected_only: bool = False,
     stretch: bool = False,
 ) -> Certificate:
     """Exhaustively check the fixed-sizes bound and maximizer uniqueness.
@@ -632,9 +627,7 @@ def verify_fixed_sizes(
     window, and that class switching isomorphic to the extremal
     construction.  The budget is checked before the construction is built.
     """
-    space = SearchSpace(
-        r, s, connected_only=connected_only, jobs=jobs, stretch=stretch
-    )
+    space = SearchSpace(r, s, jobs=jobs, stretch=stretch)
     result = run_search(space)
     construction, _ = extremal_graph(r, s)
     bound = bound_fixed_sizes(r, s)
@@ -783,7 +776,7 @@ def spot_check_random(
     for done in range(1, trials + 1):
         while True:
             mask = rng.getrandbits(rs)
-            basis = _admissible_basis(mask, r, s, _cotree(mask, r, s)[1])
+            basis = _admissible_basis(mask, r, s, _cotree(mask, r, s))
             if basis:
                 break
             resampled += 1

@@ -165,12 +165,11 @@ def multiset_close(xs, ys, tol: float) -> bool:
     return all(abs(a - b) <= tol for a, b in zip(sorted(xs), sorted(ys)))
 
 
-def reference_cotree(mask: int, r: int, s: int) -> tuple[int, int]:
-    """(component count, co-tree slot mask) of the subset graph of slot
-    ``mask`` (slot a*s + b is the edge (a, r + b)), by union-find: the
-    forest keeps each slot, in ascending order, that joins two components."""
+def reference_cotree(mask: int, r: int, s: int) -> int:
+    """Co-tree slot mask of the subset graph of slot ``mask`` (slot a*s + b
+    is the edge (a, r + b)), by union-find: the forest keeps each slot, in
+    ascending order, that joins two components."""
     root = list(range(r + s))
-    comps = r + s
     cotree = 0
     for i in range(r * s):
         if not mask >> i & 1:
@@ -184,8 +183,50 @@ def reference_cotree(mask: int, r: int, s: int) -> tuple[int, int]:
             cotree |= 1 << i
         else:
             root[u] = v
-            comps -= 1
-    return comps, cotree
+    return cotree
+
+
+def _partitions(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _type_count(parts: tuple[int, ...]) -> int:
+    """Number of permutations of sum(parts) points with cycle type parts:
+    n! / prod(i^m_i * m_i!) over the multiplicities m_i."""
+    z = math.prod(i**m * math.factorial(m) for i, m in Counter(parts).items())
+    return math.factorial(sum(parts)) // z
+
+
+def polya_orbit_counts(r: int, s: int) -> list[int]:
+    """Entry m is the number of S_r x S_s orbits of the r*s cells' subsets
+    with m cells, by Polya counting: a pair of permutations with cycle
+    types lam and mu moves the cells in gcd(a, b) cycles of length
+    lcm(a, b) for each cycle a of lam and b of mu, so it fixes
+    prod (1 + x^lcm(a, b))^gcd(a, b) subsets, counted by size; the orbit
+    counts are the average of that polynomial over S_r x S_s."""
+    total = [0] * (r * s + 1)
+    for lam in _partitions(r):
+        for mu in _partitions(s):
+            poly = [1]
+            for a in lam:
+                for b in mu:
+                    step = a * b // math.gcd(a, b)
+                    for _ in range(math.gcd(a, b)):
+                        grown = poly + [0] * step
+                        for i, c in enumerate(poly):
+                            grown[i + step] += c
+                        poly = grown
+            weight = _type_count(lam) * _type_count(mu)
+            for m, c in enumerate(poly):
+                total[m] += weight * c
+    order = math.factorial(r) * math.factorial(s)
+    return [c // order for c in total]
 
 
 def reference_has_negative_c4(g: SignedGraph) -> CycleWitness | None:

@@ -302,15 +302,20 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "sizes", "3")
         assert code == 4
 
-    @pytest.mark.parametrize(
-        "extra", [("7",), ("--connected-only",)], ids=["second_size", "connected_only"]
-    )
+    @pytest.mark.parametrize("extra", [("7",)], ids=["second_size"])
     def test_order_refuses_sizes_options_exit_4(self, capsys, extra):
         # the order search runs every split in full; an option it would
         # ignore is refused, not dropped from the certificate in silence
         code, out, err = run(capsys, "verify", "order", "6", *extra)
         assert code == 4 and out == ""
         assert err.startswith("error: verify order ") and err.count("\n") == 1
+
+    def test_unknown_option_exit_2(self, capsys):
+        # argparse rejects a usage error before any command runs
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "sizes", "3", "3", "--connected-only"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")

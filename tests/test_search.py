@@ -40,7 +40,7 @@ from sgraph.search import (
     verify_fixed_sizes,
 )
 
-from helpers import reference_cotree, reference_minimal_masks
+from helpers import polya_orbit_counts, reference_cotree, reference_minimal_masks
 
 
 def brute_admissible_class_count(r: int, s: int) -> int:
@@ -149,7 +149,7 @@ class TestEnumeration:
         slots = [(a, 3 + b) for a in range(3) for b in range(3)]
         for mask in range(1 << 9):
             visited = by_mask.get(mask, [])
-            cotree = _cotree(mask, 3, 3)[1]
+            cotree = _cotree(mask, 3, 3)
             want = [
                 neg
                 for neg in sorted(_span([1 << i for i in range(9) if cotree >> i & 1]))[1:]
@@ -181,14 +181,6 @@ class TestEnumeration:
         )
         assert stats.pruned == sum(below) > 0
         assert stats.eigensolved == len(below) - sum(below)
-
-    def test_connected_only_reduces_graphs(self):
-        all_stats = enumerate_admissible(SearchSpace(3, 3), lambda ac: None)
-        conn_stats = enumerate_admissible(
-            SearchSpace(3, 3, connected_only=True), lambda ac: None
-        )
-        assert conn_stats.graphs < all_stats.graphs
-        assert conn_stats.graphs + conn_stats.graphs_skipped == all_stats.graphs
 
 
 def move_columns(row: int, cols: tuple[int, ...]) -> int:
@@ -308,22 +300,27 @@ class TestOrbitMinima:
         ],
     )
     def test_weights_cover_the_cube(self, r, s, count):
-        # orbit counts: OEIS A028657
+        """Orbit counts are OEIS A028657.  By edge number m, the minima
+        are the Polya count of orbits with m cells, and their weights sum
+        to the C(rs, m) labelled graphs with m edges."""
         minima = all_minima(r, s)
         assert len(minima) == count
         assert sum(weight for _, weight in minima) == 1 << (r * s)
+        orbits = [0] * (r * s + 1)
+        weights = [0] * (r * s + 1)
+        for mask, weight in minima:
+            orbits[mask.bit_count()] += 1
+            weights[mask.bit_count()] += weight
+        assert orbits == polya_orbit_counts(r, s)
+        assert weights == [math.comb(r * s, m) for m in range(r * s + 1)]
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5), (4, 4)])
-    @pytest.mark.parametrize(
-        "flags,float_rule",
-        [({}, False), ({"connected_only": True}, False), ({}, True)],
-        ids=["plain", "connected", "pruned"],
-    )
-    def test_weighted_counters_equal_full_cube(self, r, s, flags, float_rule):
+    @pytest.mark.parametrize("float_rule", [False, True], ids=["plain", "pruned"])
+    def test_weighted_counters_equal_full_cube(self, r, s, float_rule):
         """The orbit-weighted counters equal the full cube's.  The pruned
         case also counts, class by class over the cube, the float rule
         sqrt(m) < rho0 - WINDOW and checks the weighted prune against it."""
-        space = SearchSpace(r, s, **flags)
+        space = SearchSpace(r, s)
         below = []
         if float_rule:
             rho0 = graph_spectrum(extremal_graph(r, s)[0]).lambda1
@@ -377,7 +374,7 @@ class TestOrbitMinima:
         signed = []
         while len(signed) < 700:
             mask = rng.getrandbits(r * s)
-            basis = search._admissible_basis(mask, r, s, _cotree(mask, r, s)[1])
+            basis = search._admissible_basis(mask, r, s, _cotree(mask, r, s))
             if basis:
                 signed.append((mask, _span(basis)[rng.randrange(1, 1 << len(basis))]))
         whole = _spectral_radii(r, s, signed).tolist()
@@ -439,18 +436,30 @@ class TestOrbitMinima:
         for g in run_search(SearchSpace(r, s)).maximizers:
             assert forest_normalize(g).graph == g
 
-    def test_jobs_capped_at_cpu_count(self, in_process_pool):
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, in_process_pool):
         """--jobs beyond the CPU count asks for no more processes than
         CPUs or tasks, and maps exactly the s + 1 first-row tasks that
         one job runs.  The pool is a stand-in that maps in-process, so no
         process is started however large jobs is."""
         asked, mapped = in_process_pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         space = SearchSpace(3, 3, jobs=10_000)
         wide = run_search(space)
         one = run_search(SearchSpace(3, 3))
-        cpus = os.cpu_count() or 1
-        assert len(asked) == 1 and 1 <= asked[0] <= min(cpus, 3 + 1)
+        assert asked == [2]
         assert mapped == [(space, k) for k in range(3 + 1)]
+        assert wide.max_rho == one.max_rho
+        assert wide.maximizers == one.maximizers
+        assert wide.stats == one.stats
+
+    def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_pool):
+        """On one CPU, --jobs 2 leaves one worker, so the tasks run in the
+        calling process and no pool is asked for."""
+        asked, mapped = in_process_pool
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        wide = run_search(SearchSpace(3, 4, jobs=2))
+        one = run_search(SearchSpace(3, 4))
+        assert asked == [] and mapped == []
         assert wide.max_rho == one.max_rho
         assert wide.maximizers == one.maximizers
         assert wide.stats == one.stats
@@ -487,10 +496,6 @@ class TestVerifyFixedSizes:
         for g in cert.result.maximizers:
             assert not is_balanced(g)
             assert has_negative_c4(g) is None
-
-    def test_connected_only_agrees(self):
-        cert = verify_fixed_sizes(3, 3, connected_only=True)
-        assert cert.verdict == CONFIRMED
 
     def test_csv_row_shape(self):
         cert = verify_fixed_sizes(3, 3)
