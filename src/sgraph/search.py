@@ -43,12 +43,13 @@ are closed under S_r x S_s, so its smallest mask is an orbit minimum, every
 class on it is solved, and the first one of each class in (mask,
 normal-form co-tree bits) order is the one a scan of the full cube would
 report.  The unit of work is the first row of a minimum, 2^k - 1 for
-k = 0..s: each of these s + 1 tasks generates and scans its own minima,
-in one process or spread over a pool, and returns its counters and the
-classes the prune keeps.  The parent concatenates them in task order and
-solves every kept class in one stack; numpy's radius for a class does not
-depend on the stack it is solved in, so the parallelism width never
-changes the output.
+k = 0..s: each of these s + 1 tasks generates and scans its own minima
+and returns its counters and the classes the prune keeps.  The tasks of
+every (r, s) one command searches, all the splits of an order included,
+run in one process or fan out together over a single pool.  The parent
+concatenates each search's results in task order and solves its kept
+classes in one stack; numpy's radius for a class does not depend on the
+stack it is solved in, so the parallelism width never changes the output.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from itertools import islice
 from multiprocessing import Pool
 from typing import Callable, Iterable
 
@@ -497,6 +499,9 @@ class SearchResult:
     max_rho: float
     maximizers: tuple[SignedGraph, ...]  # one per switching-isomorphism class
     stats: SearchStats
+    # seconds from the start of the fan-out to this search's result; a
+    # split of an order shares its fan-out, so this counts every split's
+    # tasks and the reductions of the splits before it
     wall_time: float
 
 
@@ -572,63 +577,74 @@ def _group_into_classes(graphs: list[SignedGraph]) -> list[SignedGraph]:
     return reps
 
 
-def run_search(space: SearchSpace) -> SearchResult:
-    """Exhaustive maximum-spectral-radius search over admissible classes."""
-    space.check_budget()
+def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
+    """Exhaustive maximum-spectral-radius searches of every space through
+    one fan-out.
+
+    The tasks of all spaces, space after space and k = 0..s within each,
+    go to one pool, or run in the calling process when one worker is
+    left.  Each space is then reduced from its own slice of the results,
+    in task order.
+    """
+    for space in spaces:
+        space.check_budget()
     t0 = time.perf_counter()
-    r, s = space.r, space.s
-    work = [(space, k) for k in range(s + 1)]
-    # more processes than CPUs or tasks only add start-up cost
-    workers = min(space.jobs, os.cpu_count() or 1, len(work))
+    work = [(space, k) for space in spaces for k in range(space.s + 1)]
+    try:
+        cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
+    except AttributeError:  # a platform without affinity
+        cpus = os.cpu_count() or 1
+    # more processes than usable CPUs or tasks only add start-up cost
+    workers = min(max(space.jobs for space in spaces), cpus, len(work))
     if workers == 1:
         parts = [_search_chunk(w) for w in work]
     else:
+        # one task per dispatch: map's default chunks would queue a large
+        # split's heaviest first rows behind each other in one worker
         with Pool(workers) as pool:
-            parts = pool.map(_search_chunk, work)
-    stats = SearchStats()
-    kept: list[tuple[int, int]] = []
-    for part_stats, part_kept in parts:
-        stats.merge(part_stats)
-        kept.extend(part_kept)
-    stats.graphs_skipped = (1 << (r * s)) - stats.graphs
-    rhos = _spectral_radii(r, s, kept).tolist() if kept else []
-    best = max(rhos, default=-math.inf)
-    # representatives and their order come from core.forest_normalize alone
-    normal = []
-    for rho, (mask, neg) in zip(rhos, kept):
-        if rho < best - WINDOW:
-            continue
-        nf = forest_normalize(AdmissibleClass(r, s, mask, neg).signed_graph())
-        bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
-        normal.append((mask, bits, nf.graph))
-    normal.sort(key=lambda c: c[:2])
-    reps = _group_into_classes([g for _, _, g in normal])
-    return SearchResult(
-        r,
-        s,
-        best,
-        tuple(reps),
-        stats,
-        time.perf_counter() - t0,
-    )
+            parts = pool.map(_search_chunk, work, chunksize=1)
+    results = []
+    parts = iter(parts)
+    for space in spaces:
+        r, s = space.r, space.s
+        stats = SearchStats()
+        kept: list[tuple[int, int]] = []
+        for part_stats, part_kept in islice(parts, s + 1):
+            stats.merge(part_stats)
+            kept.extend(part_kept)
+        stats.graphs_skipped = (1 << (r * s)) - stats.graphs
+        rhos = _spectral_radii(r, s, kept).tolist() if kept else []
+        best = max(rhos, default=-math.inf)
+        # representatives and their order come from core.forest_normalize alone
+        normal = []
+        for rho, (mask, neg) in zip(rhos, kept):
+            if rho < best - WINDOW:
+                continue
+            nf = forest_normalize(AdmissibleClass(r, s, mask, neg).signed_graph())
+            bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
+            normal.append((mask, bits, nf.graph))
+        normal.sort(key=lambda c: c[:2])
+        reps = _group_into_classes([g for _, _, g in normal])
+        results.append(
+            SearchResult(r, s, best, tuple(reps), stats, time.perf_counter() - t0)
+        )
+    return results
 
 
-def verify_fixed_sizes(
-    r: int,
-    s: int,
-    *,
-    jobs: int = 1,
-    stretch: bool = False,
-) -> Certificate:
-    """Exhaustively check the fixed-sizes bound and maximizer uniqueness.
+def run_search(space: SearchSpace) -> SearchResult:
+    """Exhaustive maximum-spectral-radius search over admissible classes."""
+    return _search_all([space])[0]
+
+
+def _certify(result: SearchResult) -> Certificate:
+    """Certify one search against the fixed-sizes bound.
 
     CONFIRMED requires the observed maximum to match the closed-form bound
     within ``BOUND_TOL``, exactly one maximizer class in the retention
     window, and that class switching isomorphic to the extremal
-    construction.  The budget is checked before the construction is built.
+    construction.
     """
-    space = SearchSpace(r, s, jobs=jobs, stretch=stretch)
-    result = run_search(space)
+    r, s = result.r, result.s
     construction, _ = extremal_graph(r, s)
     bound = bound_fixed_sizes(r, s)
     if not result.maximizers:
@@ -657,6 +673,19 @@ def verify_fixed_sizes(
         disconnected_tie,
         result,
     )
+
+
+def verify_fixed_sizes(
+    r: int,
+    s: int,
+    *,
+    jobs: int = 1,
+    stretch: bool = False,
+) -> Certificate:
+    """Exhaustively check the fixed-sizes bound and maximizer uniqueness,
+    as ``_certify`` says.  The budget is checked before the construction
+    is built."""
+    return _certify(run_search(SearchSpace(r, s, jobs=jobs, stretch=stretch)))
 
 
 @dataclass(frozen=True)
@@ -692,15 +721,22 @@ def verify_fixed_order(
 ) -> OrderCertificate:
     """Run the fixed-sizes search over every split (r, n-r), 3 <= r <= n//2,
     and certify that the global maximum matches the fixed-order bound and
-    is attained only at the balanced split."""
+    is attained only at the balanced split.
+
+    The tasks of all splits fan out through one pool of at most ``jobs``
+    workers; each split is then reduced and certified as
+    ``verify_fixed_sizes`` would, so the certificate does not depend on
+    ``jobs``.
+    """
     if n < 6:
         raise BadParamsError(f"order verification needs n >= 6, got {n}")
     # the largest split, r = n//2, sets the budget; refuse before any search
     SearchSpace(n // 2, n - n // 2, stretch=stretch).check_budget()
-    certs = [
-        verify_fixed_sizes(r, n - r, jobs=jobs, stretch=stretch)
+    spaces = [
+        SearchSpace(r, n - r, jobs=jobs, stretch=stretch)
         for r in range(3, n // 2 + 1)
     ]
+    certs = [_certify(result) for result in _search_all(spaces)]
     best = max(certs, key=lambda c: c.observed_max)
     bound = bound_fixed_order(n)
     balanced = certs[-1]  # r = n//2 is the last split

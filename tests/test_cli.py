@@ -1,7 +1,9 @@
 """Command-line interface: outputs, schemas, and exit codes."""
 
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -250,10 +252,11 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "sizes", "3", str(10**11))
         assert code == 5 and out == ""
 
-    def test_worker_failure_exit_3(self, capsys, monkeypatch):
-        # an exception re-raised by the pool is an internal failure, exit
-        # 3, never a traceback with exit 1 (REFUTED); the pool is a
-        # stand-in that maps in-process
+    @pytest.fixture
+    def failing_pool(self, monkeypatch):
+        """A stand-in pool whose map raises, on two usable CPUs, so that
+        --jobs 2 asks for it on any machine."""
+
         class FailingPool:
             def __init__(self, processes):
                 pass
@@ -264,11 +267,24 @@ class TestVerify:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work):
+            def map(self, fn, work, chunksize=None):
                 raise RuntimeError("worker died")
 
         monkeypatch.setattr(search, "Pool", FailingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_worker_failure_exit_3(self, capsys, failing_pool):
+        # an exception re-raised by the pool is an internal failure, exit
+        # 3, never a traceback with exit 1 (REFUTED)
         code, out, err = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "worker died" in err
+
+    def test_order_worker_failure_exit_3(self, capsys, failing_pool):
+        # the order search's one pool fails the whole command: no split is
+        # printed
+        code, out, err = run(capsys, "verify", "order", "8", "--jobs", "2")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "worker died" in err
@@ -316,6 +332,24 @@ class TestVerify:
             cli.main(["verify", "sizes", "3", "3", "--connected-only"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv,sha256",
+        [
+            (("order", "9", "--csv"),
+             "858408351ff4560e493f3496d759f392c990573fc01a4a0be1af50690683400e"),
+            (("order", "10", "--stretch"),
+             "b7968470ae2d2c4b9d1f05464ce1c99b9afd63b717087ed7f693e1e20f90e0bf"),
+        ],
+        ids=["order_9_csv", "order_10_stretch"],
+    )
+    def test_order_stdout_same_for_any_jobs(self, capsys, monkeypatch, argv, sha256):
+        # a real pool of two: every split's tasks share it, and stdout is
+        # the pinned bytes of the one-job run
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        outs = [run(capsys, "verify", *argv, "--jobs", jobs)[1] for jobs in ("1", "2")]
+        assert outs[0] == outs[1]
+        assert hashlib.sha256(outs[0].encode()).hexdigest() == sha256
 
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")

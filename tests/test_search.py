@@ -218,7 +218,8 @@ def all_minima(r: int, s: int) -> list[tuple[int, int]]:
 def in_process_pool(monkeypatch):
     """Replace search's Pool by a stand-in that maps in-process, so no
     process is started however many are asked for.  Returns the pool sizes
-    asked for and the work mapped."""
+    asked for and the work mapped.  Its map takes one task per dispatch,
+    as the search asks, so that no worker queues heavy tasks in a chunk."""
     asked = []
     mapped = []
 
@@ -232,7 +233,8 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
+        def map(self, fn, work, chunksize):
+            assert chunksize == 1
             mapped.extend(work)
             return [fn(w) for w in work]
 
@@ -442,7 +444,7 @@ class TestOrbitMinima:
         one job runs.  The pool is a stand-in that maps in-process, so no
         process is started however large jobs is."""
         asked, mapped = in_process_pool
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         space = SearchSpace(3, 3, jobs=10_000)
         wide = run_search(space)
         one = run_search(SearchSpace(3, 3))
@@ -456,13 +458,23 @@ class TestOrbitMinima:
         """On one CPU, --jobs 2 leaves one worker, so the tasks run in the
         calling process and no pool is asked for."""
         asked, mapped = in_process_pool
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         wide = run_search(SearchSpace(3, 4, jobs=2))
         one = run_search(SearchSpace(3, 4))
         assert asked == [] and mapped == []
         assert wide.max_rho == one.max_rho
         assert wide.maximizers == one.maximizers
         assert wide.stats == one.stats
+
+    def test_workers_capped_at_affinity(self, monkeypatch, in_process_pool):
+        """A process pinned to one of eight CPUs runs --jobs 2 in process:
+        the CPUs it may use count, not the machine's."""
+        asked, mapped = in_process_pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        verify_fixed_order(8, jobs=2)
+        run_search(SearchSpace(3, 4, jobs=2))
+        assert asked == [] and mapped == []
 
 
 class TestVerifyFixedSizes:
@@ -534,13 +546,34 @@ class TestVerifyFixedOrder:
             verify_fixed_order(5)
 
     def test_budget_refused_before_any_split(self, monkeypatch):
-        # (3,8) fits the default budget and (5,6) does not: no split may run
+        # (3,8) fits the default budget and (5,6) does not: no split may
+        # run, whether through run_search, a task in process or a pool
         def unreachable(space):
             raise AssertionError(f"searched ({space.r},{space.s})")
 
+        def no_task(args):
+            unreachable(args[0])
+
+        def no_pool(processes):
+            raise AssertionError(f"asked for a pool of {processes}")
+
         monkeypatch.setattr(search, "run_search", unreachable)
+        monkeypatch.setattr(search, "_search_chunk", no_task)
+        monkeypatch.setattr(search, "Pool", no_pool)
         with pytest.raises(BudgetExceededError):
             verify_fixed_order(11)
+
+    def test_one_pool_per_order(self, monkeypatch, in_process_pool):
+        """Every split's tasks go through one pool, split after split and
+        k = 0..s within each, and the certificate is the one-job one."""
+        asked, mapped = in_process_pool
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        wide = verify_fixed_order(8, jobs=2)
+        assert asked == [2]
+        assert mapped == [(SearchSpace(3, 5, jobs=2), k) for k in range(6)] + [
+            (SearchSpace(4, 4, jobs=2), k) for k in range(5)
+        ]
+        assert wide.to_json_dict() == verify_fixed_order(8).to_json_dict()
 
 
 class TestSpotCheck:
