@@ -5,11 +5,11 @@ Subcommands: ``spectrum`` (eigenvalues of a graph file), ``check``
 the extremal graph), ``bound`` (closed-form bounds), ``verify``
 (exhaustive certification, by partite sizes or by order).
 
-Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse or I/O error,
-3 numeric or internal failure (any other exception, such as one raised in
-a worker), 4 bad parameters, 5 budget exceeded.  Machine output is
-JSON (``--csv`` switches the verify statistics to CSV); every JSON
-document carries ``"schema": 1``.
+Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse, usage or I/O
+error, 3 numeric or internal failure (a failed internal check or any
+other exception, such as one raised in a worker), 4 bad parameters,
+5 budget exceeded.  Machine output is JSON (``--csv`` switches the verify
+statistics to CSV); every JSON document carries ``"schema": 1``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .core import (
 from .errors import (
     BadParamsError,
     BudgetExceededError,
-    ConvergenceFailureError,
     NotBipartiteError,
     ParseError,
     SgraphError,
@@ -49,6 +48,13 @@ EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_BAD_PARAMS = 4
 EXIT_BUDGET = 5
+
+# the first matching row gives the exit code; any other exception is EXIT_NUMERIC
+EXIT_CODES = (
+    ((ParseError, OSError, UnicodeDecodeError), EXIT_PARSE),
+    (BudgetExceededError, EXIT_BUDGET),
+    (BadParamsError, EXIT_BAD_PARAMS),
+)
 
 
 def _emit(doc: dict) -> None:
@@ -102,14 +108,13 @@ def _cmd_construct(args) -> int:
 def _cmd_bound(args) -> int:
     # the plain value is the closed form alone; only --json builds the
     # construction for its radius
-    if args.n is not None:
-        if args.r is not None or args.s is not None:
-            raise BadParamsError("give either --n or both --r and --s")
+    sizes = (args.r, args.s)
+    if args.n is not None and sizes == (None, None):
         params, bound, report = (args.n,), bound_fixed_order, bound_report_order
+    elif args.n is None and None not in sizes:
+        params, bound, report = sizes, bound_fixed_sizes, bound_report_sizes
     else:
-        if args.r is None or args.s is None:
-            raise BadParamsError("give either --n or both --r and --s")
-        params, bound, report = (args.r, args.s), bound_fixed_sizes, bound_report_sizes
+        raise BadParamsError("give either --n or both --r and --s")
     if args.json:
         _emit(report(*params).to_json_dict())
     else:
@@ -119,25 +124,24 @@ def _cmd_bound(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.mode == "sizes":
+        if args.b is None:
+            raise BadParamsError("verify sizes takes r and s")
         cert = search.verify_fixed_sizes(
             args.a,
             args.b,
             jobs=args.jobs,
             stretch=args.stretch,
         )
-        if args.csv:
-            print(search.CSV_HEADER)
-            print(search.certificate_csv_row(cert))
-        else:
-            _emit(cert.to_json_dict())
-        return EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
-    if args.b is not None:
-        raise BadParamsError("verify order takes a single n")
-    cert = search.verify_fixed_order(args.a, jobs=args.jobs, stretch=args.stretch)
+        rows = [cert]
+    else:
+        if args.b is not None:
+            raise BadParamsError("verify order takes a single n")
+        cert = search.verify_fixed_order(args.a, jobs=args.jobs, stretch=args.stretch)
+        rows = cert.per_split
     if args.csv:
         print(search.CSV_HEADER)
-        for sub in cert.per_split:
-            print(search.certificate_csv_row(sub))
+        for row in rows:
+            print(search.certificate_csv_row(row))
     else:
         _emit(cert.to_json_dict())
     return EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
@@ -189,24 +193,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify" and args.mode == "sizes" and args.b is None:
-            raise BadParamsError("verify sizes takes r and s")
         return args.func(args)
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (BadParamsError, SgraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_PARAMS
-    except Exception as exc:  # anything else is a failure, never REFUTED
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except Exception as exc:  # every failure maps to a code, never REFUTED
+        if isinstance(exc, (SgraphError, OSError, UnicodeDecodeError)):
+            print(f"error: {exc}", file=sys.stderr)
+        else:  # not one of ours: name its type
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return next(
+            (code for types, code in EXIT_CODES if isinstance(exc, types)), EXIT_NUMERIC
+        )
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """The extremal construction and its closed-form spectral bounds.
 
-For partite sizes 3 <= r <= s the extremal unbalanced, negative-C4-free
-signed bipartite graph is built from an all-positive complete bipartite
-graph on (r-1, s-1) vertices by deleting one edge uv and reconnecting u
-and v through a path of length three whose central edge is the unique
-negative edge.  Its spectral radius has a closed form, which is also the
-sharp upper bound over the whole class; this module evaluates those
-formulas and verifies the spectrum structure of the construction.
+For partite sizes (r, s) in the domain ``check_sizes`` enforces, the
+extremal unbalanced, negative-C4-free signed bipartite graph is built
+from an all-positive complete bipartite graph on (r-1, s-1) vertices by
+deleting one edge uv and reconnecting u and v through a path of length
+three whose central edge is the unique negative edge.  Its spectral
+radius has a closed form, which is also the sharp upper bound over the
+whole class; this module evaluates those formulas and verifies the
+spectrum structure of the construction.
 """
 
 from __future__ import annotations
@@ -26,22 +27,14 @@ from .spectral import (
 )
 
 STRICT_MARGIN = 1e-12  # strictness margin for monotonicity / lower-bound checks
+STRUCTURE_TOL = 1e-8  # spectrum against its closed form in verify_spectrum_structure
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Validated partite sizes for the extremal construction."""
-
-    r: int
-    s: int
-
-    def __post_init__(self):
-        if not (3 <= self.r <= self.s):
-            raise BadParamsError(f"need 3 <= r <= s, got r={self.r}, s={self.s}")
-
-    @property
-    def n(self) -> int:
-        return self.r + self.s
+def check_sizes(r: int, s: int) -> None:
+    """Raise BadParamsError for partite sizes outside the domain of the
+    construction, its bounds and the searches."""
+    if r < 3 or r > s:
+        raise BadParamsError(f"need 3 <= r <= s, got r={r}, s={s}")
 
 
 def _sqrt(x: int | float) -> float:
@@ -55,7 +48,7 @@ def _sqrt(x: int | float) -> float:
 
 def _coeffs(r: int, s: int) -> tuple[int, int]:
     """(c, d) of the nonzero-eigenvalue quartic x^4 - c x^2 + d."""
-    ExtremalParams(r, s)
+    check_sizes(r, s)
     return (r - 1) * (s - 1) + 2, (2 * r - 3) * (2 * s - 3)
 
 
@@ -71,7 +64,7 @@ def extremal_graph(r: int, s: int) -> tuple[SignedGraph, Bipartition]:
     that ``sgraph spectrum`` must read, so sizes with r + s above
     ``spectral.MAX_DENSE_N`` raise BadParamsError before anything is built.
     """
-    ExtremalParams(r, s)
+    check_sizes(r, s)
     if r + s > MAX_DENSE_N:
         raise BadParamsError(
             f"r + s = {r + s} exceeds the dense-matrix limit {MAX_DENSE_N}"
@@ -137,7 +130,7 @@ def six_block_partition(r: int, s: int) -> VertexPartition:
     """The equitable 6-block partition of the construction's vertices:
     path endpoint u1, deleted-edge endpoint u, rest of u's side, path
     endpoint v1, deleted-edge endpoint v, rest of v's side."""
-    ExtremalParams(r, s)
+    check_sizes(r, s)
     return VertexPartition.from_blocks(
         [
             (r + s - 1,),
@@ -152,7 +145,7 @@ def six_block_partition(r: int, s: int) -> VertexPartition:
 
 def expected_quotient(r: int, s: int) -> tuple[tuple[int, ...], ...]:
     """The 6x6 quotient matrix of the construction over six_block_partition."""
-    ExtremalParams(r, s)
+    check_sizes(r, s)
     return (
         (0, 0, 0, -1, 1, 0),
         (0, 0, 0, 1, 0, s - 2),
@@ -163,12 +156,12 @@ def expected_quotient(r: int, s: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def verify_spectrum_structure(r: int, s: int, tol: float = 1e-8) -> dict:
+def verify_spectrum_structure(r: int, s: int) -> dict:
     """Check the construction's spectrum against its closed form.
 
     Verifies, in order: the sorted spectrum equals
-    {+big, +small, 0 x (n-4), -small, -big} within tol; the sum of squared
-    eigenvalues equals twice the edge count within tol; the 6-block
+    {+big, +small, 0 x (n-4), -small, -big} within STRUCTURE_TOL; the sum
+    of squared eigenvalues equals twice the edge count within it; the 6-block
     partition is equitable in exact arithmetic; and the quotient spectrum
     is contained in the full spectrum.  Raises StructureCheckError naming
     the first violated clause; returns a report dict on success.
@@ -181,12 +174,12 @@ def verify_spectrum_structure(r: int, s: int, tol: float = 1e-8) -> dict:
     expected.sort(reverse=True)
     got = sorted(spec.eigenvalues, reverse=True)
     for e, v in zip(expected, got):
-        if abs(e - v) > tol:
+        if abs(e - v) > STRUCTURE_TOL:
             raise StructureCheckError(
                 "nonzero_eigenvalues", f"expected {e:.12f}, got {v:.12f} at ({r},{s})"
             )
     total = sum(v * v for v in spec.eigenvalues)
-    if abs(total - 2 * g.m) > tol:
+    if abs(total - 2 * g.m) > STRUCTURE_TOL:
         raise StructureCheckError(
             "sum_of_squares", f"sum of squares {total} vs 2m={2 * g.m}"
         )
@@ -215,8 +208,6 @@ def monotone_in_r(n: int, r_lo: int, r_hi: int) -> bool:
     [r_lo, r_hi] for splits (r, n-r), with margin STRICT_MARGIN."""
     if not (3 <= r_lo <= r_hi <= n // 2):
         raise BadParamsError(f"need 3 <= r_lo <= r_hi <= n//2, got {r_lo}..{r_hi}, n={n}")
-    if n - r_lo < 4 and (r_lo, n - r_lo) != (3, 3):
-        raise BadParamsError(f"split ({r_lo},{n - r_lo}) outside the bound's domain")
     values = [bound_fixed_sizes(r, n - r) for r in range(r_lo, r_hi + 1)]
     return all(b - a > STRICT_MARGIN for a, b in zip(values, values[1:]))
 
@@ -226,7 +217,7 @@ def lower_bound_check(r: int, s: int) -> bool:
 
     Defined for s >= 4 (at (3,3) the comparison collapses; the sharp value
     there comes from the direct evaluation instead)."""
-    ExtremalParams(r, s)
+    check_sizes(r, s)
     if s < 4:
         raise BadParamsError(f"lower-bound comparison needs s >= 4, got s={s}")
     return bound_fixed_sizes(r, s) - math.sqrt((r - 1) * (s - 2)) > STRICT_MARGIN
@@ -243,13 +234,7 @@ class BoundReport:
     gap: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "params": self.params,
-            "bound": self.bound,
-            "rho": self.rho,
-            "gap": self.gap,
-        }
+        return dict(vars(self))
 
 
 def bound_report_sizes(r: int, s: int) -> BoundReport:

@@ -58,7 +58,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice
 from multiprocessing import Pool
 from typing import Callable, Iterable
@@ -75,7 +75,7 @@ from .core import (
     switching_isomorphic,
 )
 from .errors import BadParamsError, BudgetExceededError, SgraphError
-from .extremal import _coeffs, bound_fixed_order, bound_fixed_sizes, extremal_graph
+from .extremal import _coeffs, bound_fixed_order, bound_fixed_sizes, check_sizes, extremal_graph
 from .spectral import symmetric_eigenvalues
 
 DEFAULT_EXHAUSTIVE_RS = 25  # beyond this the stretch flag is required
@@ -92,7 +92,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Enumeration parameters for one (r, s) class."""
+    """Enumeration parameters for one (r, s) class, refused when built if
+    they are bad or exceed the budget."""
 
     r: int
     s: int
@@ -100,12 +101,9 @@ class SearchSpace:
     stretch: bool = False
 
     def __post_init__(self):
-        if not (3 <= self.r <= self.s):
-            raise BadParamsError(f"need 3 <= r <= s, got ({self.r},{self.s})")
+        check_sizes(self.r, self.s)
         if self.jobs < 1:
             raise BadParamsError("jobs must be >= 1")
-
-    def check_budget(self) -> None:
         rs = self.r * self.s
         if rs > HARD_BUDGET_RS:
             raise BudgetExceededError(
@@ -459,7 +457,6 @@ def enumerate_admissible(
     negative 4-cycle are skipped and counted.  Runs in-process regardless
     of ``space.jobs`` because the visitor is an arbitrary callable.
     """
-    space.check_budget()
     r, s = space.r, space.s
     if r * s > CUBE_BUDGET_RS:
         raise BudgetExceededError(
@@ -538,28 +535,22 @@ class Certificate:
         }
 
 
-CSV_HEADER = (
-    "schema,r,s,graphs,graphs_skipped,classes,balanced_skipped,c4_skipped,"
-    "admissible,pruned,eigensolved,observed_max,bound,verdict,unique"
+# the counter columns are SearchStats's fields, in their order
+CSV_HEADER = ",".join(
+    ["schema", "r", "s"]
+    + [f.name for f in fields(SearchStats)]
+    + ["observed_max", "bound", "verdict", "unique"]
 )
 
 
 def certificate_csv_row(cert: Certificate) -> str:
-    st = cert.result.stats
     return ",".join(
         str(x)
         for x in (
             1,
             cert.r,
             cert.s,
-            st.graphs,
-            st.graphs_skipped,
-            st.classes,
-            st.balanced_skipped,
-            st.c4_skipped,
-            st.admissible,
-            st.pruned,
-            st.eigensolved,
+            *cert.result.stats.to_dict().values(),
             repr(cert.observed_max),
             repr(cert.claimed_bound),
             cert.verdict,
@@ -586,8 +577,6 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
     left.  Each space is then reduced from its own slice of the results,
     in task order.
     """
-    for space in spaces:
-        space.check_budget()
     t0 = time.perf_counter()
     work = [(space, k) for space in spaces for k in range(space.s + 1)]
     try:
@@ -730,8 +719,8 @@ def verify_fixed_order(
     """
     if n < 6:
         raise BadParamsError(f"order verification needs n >= 6, got {n}")
-    # the largest split, r = n//2, sets the budget; refuse before any search
-    SearchSpace(n // 2, n - n // 2, stretch=stretch).check_budget()
+    # a split over budget is refused as it is built, before any search:
+    # from n = 16 on the first, (3, n - 3), so the list never grows with n
     spaces = [
         SearchSpace(r, n - r, jobs=jobs, stretch=stretch)
         for r in range(3, n // 2 + 1)
@@ -797,8 +786,7 @@ def spot_check_random(
     the balanced class.  Graphs whose solution space is trivial are
     resampled (counted).
     """
-    if not (3 <= r <= s):
-        raise BadParamsError(f"need 3 <= r <= s, got ({r},{s})")
+    check_sizes(r, s)
     if trials < 0:
         raise BadParamsError("trials must be nonnegative")
     t0 = time.perf_counter()

@@ -68,8 +68,8 @@ class Spectrum:
     """Eigenvalues sorted descending, plus the principal eigenvector.
 
     ``residual`` is the 2-norm of (A - lambda1*I) x for the unit vector x.
-    ``m`` counts edges when built from a graph, otherwise nonzero
-    off-diagonal pairs.
+    ``m`` counts the nonzero entries above the diagonal, which are the
+    edges when the matrix is a graph's.
     """
 
     n: int
@@ -113,12 +113,11 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     return _solve(np.linalg.eigvalsh, a)
 
 
-def eigen_spectrum(matrix, m: int | None = None) -> Spectrum:
+def eigen_spectrum(matrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, descending, with principal vector."""
     a = as_symmetric_matrix(matrix)
     n = a.shape[0]
-    if m is None:
-        m = int(np.count_nonzero(np.triu(a, 1)))
+    m = int(np.count_nonzero(np.triu(a, 1)))
     if n == 0:
         return Spectrum(0, 0, (), (), 0.0)
     a = a.astype(float)
@@ -137,7 +136,7 @@ def eigen_spectrum(matrix, m: int | None = None) -> Spectrum:
 
 def graph_spectrum(g: SignedGraph) -> Spectrum:
     """Spectrum of the signed adjacency matrix of g."""
-    spec = eigen_spectrum(adjacency_matrix(g), m=g.m)
+    spec = eigen_spectrum(adjacency_matrix(g))
     total = sum(v * v for v in spec.eigenvalues)
     if abs(total - 2 * g.m) > 1e-8 * max(1.0, 2.0 * g.m):
         raise ConvergenceFailureError(
@@ -168,7 +167,8 @@ def nonnegative_switching(
 
     Switching on U = {v : x_v < 0} for a principal eigenvector x turns x
     into |x|, which is a principal eigenvector of the switched graph; the
-    returned Spectrum carries that vector.  Zero entries stay out of U
+    returned Spectrum carries that vector.  Switching is a similarity, so
+    the switched graph has g's eigenvalues.  Zero entries stay out of U
     (any assignment would do).
     """
     spec = graph_spectrum(g)
@@ -176,15 +176,14 @@ def nonnegative_switching(
     h = switch(g, u_set)
     y = [abs(xv) for xv in spec.principal_vector]
     a = adjacency_matrix(h).astype(float)
-    values = symmetric_eigenvalues(a)[::-1].tolist()
-    lam1 = values[0] if values else 0.0
+    lam1 = spec.lambda1
     ay = a @ np.asarray(y)
     residual = float(np.linalg.norm(ay - lam1 * np.asarray(y))) if g.n else 0.0
     if residual > RESIDUAL_TOL * (1.0 + abs(lam1)):
         raise ConvergenceFailureError(
             f"switched eigenvector residual {residual:.3e} too large"
         )
-    out = Spectrum(g.n, g.m, tuple(values), tuple(y), residual)
+    out = Spectrum(g.n, g.m, spec.eigenvalues, tuple(y), residual)
     return h, u_set, out
 
 
@@ -272,24 +271,20 @@ def quotient_eigenvalues(q: QuotientMatrix) -> list[float]:
     return symmetric_eigenvalues(sym)[::-1].tolist()
 
 
-def quotient_spectrum_contained(
-    matrix, p: VertexPartition, tol: float = CONTAINMENT_TOL
-) -> bool:
+def quotient_spectrum_contained(matrix, p: VertexPartition) -> bool:
     """True iff the equitable quotient's spectrum embeds in the matrix's.
 
-    Multiset containment by greedy matching of sorted values within tol.
-    Raises NotEquitableError when the partition is not equitable.
+    Multiset containment by greedy matching of sorted values within
+    CONTAINMENT_TOL.  Raises NotEquitableError when the partition is not
+    equitable.
     """
-    q = quotient_matrix(matrix, p)
-    if not q.equitable:
-        raise NotEquitableError("partition is not equitable")
-    q_vals = sorted(quotient_eigenvalues(q))
+    q_vals = sorted(quotient_eigenvalues(quotient_matrix(matrix, p)))
     full = symmetric_eigenvalues(as_symmetric_matrix(matrix)).tolist()
     i = 0
     for qv in q_vals:
-        while i < len(full) and full[i] < qv - tol:
+        while i < len(full) and full[i] < qv - CONTAINMENT_TOL:
             i += 1
-        if i == len(full) or abs(full[i] - qv) > tol:
+        if i == len(full) or abs(full[i] - qv) > CONTAINMENT_TOL:
             return False
         i += 1
     return True

@@ -105,7 +105,7 @@ def test_criterion_4_equitable_quotient_sweep():
         part = six_block_partition(r, s)
         if not quotient_matrix(a, part).equitable:
             ok = False
-        if not quotient_spectrum_contained(a, part, tol=1e-7):
+        if not quotient_spectrum_contained(a, part):
             ok = False
     _report("4: 6-block partition equitable, quotient spectrum contained", ok)
 

@@ -8,13 +8,15 @@ import os
 import numpy as np
 import pytest
 
-from sgraph import cli, core, extremal, search, sgio
+from sgraph import cli, core, errors, extremal, search, sgio
 from sgraph.errors import (
     BadParamsError,
     BudgetExceededError,
     ConvergenceFailureError,
+    NotBipartiteError,
     ParseError,
     SgraphError,
+    StructureCheckError,
 )
 from sgraph.extremal import bound_fixed_order, extremal_graph
 
@@ -23,6 +25,25 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _instance(cls: type) -> SgraphError:
+    """An instance of an sgraph.errors class, whatever its arguments."""
+    args = {
+        ParseError: (1, "p"),
+        NotBipartiteError: (core.CycleWitness((0, 1, 2), 1),),
+        StructureCheckError: ("clause", "c"),
+    }
+    return cls(*args.get(cls, ("e",)))
+
+
+# every class sgraph.errors defines, with its exit code: these three have
+# their own, every other one is a failed internal check and exits 3
+SGRAPH_ERRORS = [
+    (_instance(cls), {ParseError: 2, BadParamsError: 4, BudgetExceededError: 5}.get(cls, 3))
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, SgraphError)
+]
 
 
 @pytest.fixture
@@ -84,11 +105,11 @@ class TestSpectrum:
         code, _, err = run(capsys, "spectrum", g33_path)
         assert code == 3
 
-    def test_negative_cycle_guard_exit_4(self, capsys, g33_path, monkeypatch):
+    def test_negative_cycle_guard_exit_3(self, capsys, g33_path, monkeypatch):
         # the guard's failure is an internal error, not REFUTED (exit 1)
         monkeypatch.setattr(core.CycleWitness, "is_chordless", lambda self, g: False)
         code, out, err = run(capsys, "check", g33_path)
-        assert code == 4 and out == ""
+        assert code == 3 and out == ""
         assert err.startswith("error: ")
 
 
@@ -292,16 +313,12 @@ class TestVerify:
     @pytest.mark.parametrize(
         "exc,code",
         [
-            (ParseError(1, "p"), 2),
             (OSError("o"), 2),
-            (ConvergenceFailureError("c"), 3),
             (MemoryError(), 3),
             (np.linalg.LinAlgError("l"), 3),
             (ValueError("v"), 3),
-            (BadParamsError("b"), 4),
-            (SgraphError("g"), 4),
-            (BudgetExceededError("x"), 5),
-        ],
+        ]
+        + SGRAPH_ERRORS,
         ids=lambda x: type(x).__name__ if isinstance(x, BaseException) else str(x),
     )
     def test_no_failure_exits_1(self, capsys, monkeypatch, exc, code):
@@ -313,6 +330,8 @@ class TestVerify:
         got, out, err = run(capsys, "verify", "sizes", "3", "3")
         assert got == code and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if isinstance(exc, (SgraphError, OSError)):  # our own words, no type name
+            assert err == f"error: {exc}\n"
 
     def test_missing_s_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "sizes", "3")

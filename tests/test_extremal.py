@@ -20,9 +20,9 @@ from sgraph import (
 )
 from sgraph.errors import BadParamsError
 from sgraph.extremal import (
-    ExtremalParams,
     bound_report_order,
     bound_report_sizes,
+    check_sizes,
     extremal_graph,
     nonzero_eigenvalue_pair,
 )
@@ -67,7 +67,7 @@ class TestConstruction:
         with pytest.raises(BadParamsError):
             extremal_graph(4, 3)
         with pytest.raises(BadParamsError):
-            ExtremalParams(3, 2)
+            check_sizes(3, 2)
 
     def test_dense_limit(self):
         # r + s = 2049 is one vertex past spectral.MAX_DENSE_N: refused

@@ -20,7 +20,7 @@ from sgraph import (
 from sgraph.core import underlying_positive
 from sgraph.spectral import graph_spectrum
 from sgraph.errors import BadParamsError, BudgetExceededError
-from sgraph.extremal import bound_fixed_sizes, extremal_graph
+from sgraph.extremal import bound_fixed_sizes, check_sizes, extremal_graph
 from sgraph import search
 from sgraph.search import (
     CONFIRMED,
@@ -127,14 +127,25 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             enumerate_admissible(SearchSpace(5, 6), lambda ac: None)
         with pytest.raises(BudgetExceededError):
-            SearchSpace(6, 7, stretch=True).check_budget()
-        SearchSpace(5, 5).check_budget()
-        SearchSpace(6, 6, stretch=True).check_budget()
+            SearchSpace(6, 7, stretch=True)
+        SearchSpace(5, 5)
+        SearchSpace(6, 6, stretch=True)
         # the labelled cube keeps its own limit: (5,5) would walk 2^25 masks
         with pytest.raises(BudgetExceededError):
             enumerate_admissible(SearchSpace(5, 5), lambda ac: None)
         with pytest.raises(BadParamsError):
             SearchSpace(2, 5)
+
+    @pytest.mark.parametrize(
+        "refuse",
+        [SearchSpace, lambda r, s: spot_check_random(r, s, 1), extremal_graph, check_sizes],
+        ids=["SearchSpace", "spot_check_random", "extremal_graph", "check_sizes"],
+    )
+    def test_one_size_check(self, refuse):
+        # every entry point refuses sizes outside the domain in the same words
+        with pytest.raises(BadParamsError) as exc:
+            refuse(3, 2)
+        assert str(exc.value) == "need 3 <= r <= s, got r=3, s=2"
 
     def test_solution_space_equals_parity_loop_3_3(self):
         """The negative masks listed from the GF(2) basis are exactly the
@@ -562,6 +573,11 @@ class TestVerifyFixedOrder:
         monkeypatch.setattr(search, "Pool", no_pool)
         with pytest.raises(BudgetExceededError):
             verify_fixed_order(11)
+
+    def test_budget_names_first_split_over(self):
+        # order 12 splits (3,9), (4,8), (5,7), (6,6): the first is refused
+        with pytest.raises(BudgetExceededError, match=r"^r\*s = 27 needs the stretch flag"):
+            verify_fixed_order(12)
 
     def test_one_pool_per_order(self, monkeypatch, in_process_pool):
         """Every split's tasks go through one pool, split after split and

@@ -21,3 +21,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_unused_imports():
+    # a name a module imports but never uses outlives the code that needed
+    # it; __init__.py imports to re-export, and __future__ imports are flags
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for alias in node.names
+                    if (name := alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert found == []
