@@ -256,7 +256,7 @@ def bipartition(g: SignedGraph) -> Bipartition:
     for u, v, _s in g.edges:
         # forest edges always change depth parity, so only chords can trip this
         if (depth[u] + depth[v]) % 2 == 0:
-            raise NotBipartiteError(_odd_cycle_witness(g, parent, depth, u, v))
+            raise NotBipartiteError(_odd_cycle_witness(g, parent, u, v))
     left = frozenset(v for v in range(g.n) if depth[v] % 2 == 0)
     right = frozenset(v for v in range(g.n) if depth[v] % 2 == 1)
     if len(left) > len(right):
@@ -264,16 +264,12 @@ def bipartition(g: SignedGraph) -> Bipartition:
     return Bipartition(left, right)
 
 
-def _odd_cycle_witness(g, parent, depth, u, v) -> CycleWitness:
+def _odd_cycle_witness(g, parent, u, v) -> CycleWitness:
     """Cycle through the BFS-tree paths of u and v plus the edge uv."""
+    # BFS puts the ends of an edge at most one level apart, so u and v, of
+    # equal depth parity, are at equal depth and climb to the LCA in step
     pu, pv = u, v
     path_u, path_v = [u], [v]
-    while depth[pu] > depth[pv]:
-        pu = parent[pu]
-        path_u.append(pu)
-    while depth[pv] > depth[pu]:
-        pv = parent[pv]
-        path_v.append(pv)
     while pu != pv:
         pu = parent[pu]
         pv = parent[pv]
@@ -458,6 +454,17 @@ def _degree_profiles(g: SignedGraph) -> list[tuple]:
     return colors
 
 
+def _is_twin(nbr: list[dict[int, int]], v: int, w: int) -> bool:
+    """True when N(v) - {w} = N(w) - {v} and sign(v,x)*sign(w,x) is the same
+    for each such x, ``nbr[v]`` mapping v's neighbours to edge signs: then
+    swapping v and w (and switching both when that sign is -1) fixes g.  An
+    equivalence: true and false twins cannot mix, and the sign factors multiply."""
+    a, b = nbr[v], nbr[w]
+    return a.keys() - {w} == b.keys() - {v} and len(
+        {s * b[x] for x, s in a.items() if x != w}
+    ) <= 1
+
+
 def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
     """Depth-first search over vertex orders of g, compared by their encoding.
 
@@ -465,7 +472,9 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
     adjacency bits to the earlier vertices, plus one sign bit per
     cycle-closing back edge after normalizing the earliest-edge spanning
     forest to all positive signs (tracked with a signed union-find).
-    Candidates are tried by profile, then by row.
+    Candidates are tried by profile, then by row, one per twin class: twins
+    are interchanged by an automorphism, so their subtrees have the same
+    encodings.  The twin classes are computed once per graph.
 
     By default the search returns the lexicographically smallest encoding,
     pruning every prefix above the best one found.  With ``first`` it stops
@@ -475,7 +484,10 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
     when there is none.  The result is (order, rows).
     """
     n = g.n
-    adj_sets = [{w for w, _ in g.adjacency[v]} for v in range(n)]
+    nbr = [dict(a) for a in g.adjacency]
+    # the smallest vertex of each vertex's twin class
+    twin = [next((w for w in range(v) if _is_twin(nbr, v, w)), v) for v in range(n)]
+    by_prof = sorted(range(n), key=lambda v: prof[v])
     found = None
 
     def find(parent: list[int], sgn: list[int], x: int) -> tuple[int, int]:
@@ -487,12 +499,12 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
 
     def rows_for(perm: list[int], v: int, parent: list[int], sgn: list[int]) -> tuple:
         """Encoding row for placing v; mutates the union-find copy."""
-        adj_row = tuple(1 if p in adj_sets[v] else 0 for p in perm)
+        adj_row = tuple(1 if p in nbr[v] else 0 for p in perm)
         bits = []
         for p in perm:
-            if p not in adj_sets[v]:
+            sigma = nbr[v].get(p)
+            if sigma is None:
                 continue
-            sigma = g.sign(v, p)
             rv, sv = find(parent, sgn, v)
             rp, sp = find(parent, sgn, p)
             if rv != rp:
@@ -503,21 +515,6 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
                 bits.append(0 if sv * sp * sigma == 1 else 1)
         return (adj_row, tuple(bits))
 
-    def twins(cands: list[int]) -> list[int]:
-        """Drop candidates interchangeable with an earlier one by a
-        (possibly sign-negating) swap automorphism: their subtrees have the
-        same encodings."""
-        kept: list[int] = []
-        for v in cands:
-            for w in kept:
-                if adj_sets[v] - {w} == adj_sets[w] - {v} and len(
-                    {g.sign(v, x) * g.sign(w, x) for x in adj_sets[v] - {w, v}}
-                ) <= 1:
-                    break
-            else:
-                kept.append(v)
-        return kept
-
     def search(perm: list[int], rows: list[tuple], parent: list[int], sgn: list[int]) -> bool:
         """Extend perm; True once the search should stop."""
         nonlocal found
@@ -526,11 +523,12 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
             if found is None or rows < found[1]:
                 found = (tuple(perm), list(rows))
             return first or target is not None
-        remaining = [v for v in range(n) if v not in perm_set]
-        if target is not None:
-            remaining = [v for v in remaining if prof[v] == target[0][depth]]
+        kept: dict[int, int] = {}  # twin class -> its first remaining vertex
+        for v in by_prof:
+            if v not in perm and (target is None or prof[v] == target[0][depth]):
+                kept.setdefault(twin[v], v)
         scored = []
-        for v in twins(sorted(remaining, key=lambda v: prof[v])):
+        for v in kept.values():
             par, sg = parent[:], sgn[:]
             scored.append((rows_for(perm, v, par, sg), v, par, sg))
         scored.sort(key=lambda t: t[0])
@@ -544,15 +542,12 @@ def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
                 rows.pop()
                 continue
             perm.append(v)
-            perm_set.add(v)
             if search(perm, rows, par, sg):
                 return True  # the leaf is already copied into found
             perm.pop()
-            perm_set.discard(v)
             rows.pop()
         return False
 
-    perm_set: set[int] = set()
     search([], [], list(range(n)), [1] * n)
     return found
 
@@ -597,10 +592,10 @@ def canonical_key(g: SignedGraph):
 
     The smallest encoding over all vertex orders, from ``_order_search``.
     The co-tree sign vector determines all cycle signs, hence the switching
-    class, so equal keys mean switching isomorphic.  Skipping twin candidates
-    keeps highly symmetric graphs (empty, complete, complete bipartite)
-    tractable; general worst cases remain exponential, so this is meant for
-    small n.
+    class, so equal keys mean switching isomorphic.  Trying one candidate
+    per twin class, with the classes computed once per graph, keeps highly
+    symmetric graphs (empty, complete, complete bipartite) tractable;
+    general worst cases remain exponential, so this is meant for small n.
     """
     if g.n == 0:
         return (0,)

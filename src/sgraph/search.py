@@ -57,7 +57,6 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
 from dataclasses import dataclass, fields
 from itertools import islice
 from multiprocessing import Pool
@@ -496,10 +495,6 @@ class SearchResult:
     max_rho: float
     maximizers: tuple[SignedGraph, ...]  # one per switching-isomorphism class
     stats: SearchStats
-    # seconds from the start of the fan-out to this search's result; a
-    # split of an order shares its fan-out, so this counts every split's
-    # tasks and the reductions of the splits before it
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -518,8 +513,6 @@ class Certificate:
     result: SearchResult
 
     def to_json_dict(self) -> dict:
-        # wall time stays on the API object only: command output must be
-        # byte-identical across runs
         return {
             "verdict": self.verdict,
             "r": self.r,
@@ -577,7 +570,6 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
     left.  Each space is then reduced from its own slice of the results,
     in task order.
     """
-    t0 = time.perf_counter()
     work = [(space, k) for space in spaces for k in range(space.s + 1)]
     try:
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
@@ -614,9 +606,7 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
             normal.append((mask, bits, nf.graph))
         normal.sort(key=lambda c: c[:2])
         reps = _group_into_classes([g for _, _, g in normal])
-        results.append(
-            SearchResult(r, s, best, tuple(reps), stats, time.perf_counter() - t0)
-        )
+        results.append(SearchResult(r, s, best, tuple(reps), stats))
     return results
 
 
@@ -766,7 +756,6 @@ class SpotCheckReport:
     resampled: int
     max_observed: float
     bound: float
-    wall_time: float
 
     def to_json_dict(self) -> dict:
         return dict(vars(self))
@@ -789,7 +778,6 @@ def spot_check_random(
     check_sizes(r, s)
     if trials < 0:
         raise BadParamsError("trials must be nonnegative")
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     bound = bound_fixed_sizes(r, s)
     rs = r * s
@@ -827,5 +815,4 @@ def spot_check_random(
         resampled,
         max_observed,
         bound,
-        time.perf_counter() - t0,
     )

@@ -116,16 +116,18 @@ def test_criterion_5_exhaustive_fixed_sizes():
     ok = True
     details = []
     for (r, s), budget in budgets.items():
+        t0 = time.perf_counter()
         cert = verify_fixed_sizes(r, s, jobs=jobs[r, s])
+        elapsed = time.perf_counter() - t0
         construction, _ = extremal_graph(r, s)
         good = (
             cert.verdict == CONFIRMED
             and abs(cert.observed_max - bound_fixed_sizes(r, s)) <= 1e-8
             and cert.unique
             and switching_isomorphic(sgio.loads(cert.witnesses[0]), construction)
-            and cert.result.wall_time < budget
+            and elapsed < budget
         )
-        details.append(f"({r},{s}) {cert.result.wall_time:.2f}s")
+        details.append(f"({r},{s}) {elapsed:.2f}s")
         ok = ok and good
     _report("5: exhaustive fixed-sizes verification CONFIRMED", ok, ", ".join(details))
 
@@ -178,9 +180,11 @@ def test_criterion_9_randomized_bound_checks():
     ok = True
     details = []
     for r, s in ((5, 5), (5, 6)):
+        t0 = time.perf_counter()
         report = spot_check_random(r, s, trials=10_000, seed=42)
-        good = report.violations == 0 and report.wall_time < 120.0
+        elapsed = time.perf_counter() - t0
+        good = report.violations == 0 and elapsed < 120.0
         details.append(f"({r},{s}) max={report.max_observed:.6f} "
-                       f"bound={report.bound:.6f} {report.wall_time:.1f}s")
+                       f"bound={report.bound:.6f} {elapsed:.1f}s")
         ok = ok and good
     _report("9: spot checks, zero bound violations", ok, "; ".join(details))

@@ -151,6 +151,41 @@ class TestCheck:
         assert len(doc["neg_c4"]["vertices"]) == 4
 
 
+    def test_triangle_not_bipartite(self, capsys, tmp_path):
+        path = tmp_path / "triangle.sg"
+        path.write_text("sg 3 3\n0 1 +1\n1 2 +1\n0 2 -1\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["bipartite"] is False and doc["sides"] is None
+        assert doc["odd_cycle"] == {"vertices": [0, 1, 2], "sign": -1, "length": 3}
+
+
+class TestNoVertices:
+    """A graph with no vertices is valid input for every reading command."""
+
+    @pytest.fixture
+    def empty_path(self, tmp_path):
+        path = tmp_path / "none.sg"
+        path.write_text("sg 0 0\n")
+        return str(path)
+
+    def test_spectrum(self, capsys, empty_path):
+        code, out, err = run(capsys, "spectrum", empty_path)
+        assert code == 0 and err == ""
+        assert out == (
+            '{"schema": 1, "n": 0, "m": 0, "eigenvalues": [], "lambda1": 0.0, '
+            '"rho": 0.0, "residual": 0.0}\n'
+        )
+
+    def test_check(self, capsys, empty_path):
+        code, out, err = run(capsys, "check", empty_path)
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert (doc["n"], doc["m"], doc["bipartite"], doc["balanced"]) == (0, 0, True, True)
+        assert doc["odd_cycle"] is None and doc["neg_cycle"] is None
+
+
 class TestConstruct:
     def test_3_3_file(self, capsys, tmp_path):
         out_path = tmp_path / "out.sg"
@@ -332,6 +367,22 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         if isinstance(exc, (SgraphError, OSError)):  # our own words, no type name
             assert err == f"error: {exc}\n"
+
+    def test_refuted_exits_1(self, capsys, monkeypatch):
+        # a search that finds two maximizer classes: REFUTED on stdout,
+        # exit 1, and nothing on stderr
+        g, _ = extremal_graph(3, 4)
+        rho = extremal.bound_fixed_sizes(3, 4)
+        monkeypatch.setattr(
+            search,
+            "run_search",
+            lambda space: search.SearchResult(3, 4, rho, (g, g), search.SearchStats()),
+        )
+        code, out, err = run(capsys, "verify", "sizes", "3", "4")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["verdict"] == "REFUTED"
+        assert doc["detail"] == "2 maximizer classes, expected 1"
 
     def test_missing_s_exit_4(self, capsys):
         code, _, _ = run(capsys, "verify", "sizes", "3")

@@ -24,7 +24,7 @@ from sgraph import (
     switching_isomorphic,
     switching_isomorphism,
 )
-from sgraph.core import component_count, underlying_positive
+from sgraph.core import _is_twin, component_count, underlying_positive
 from sgraph.errors import (
     BadSignError,
     DuplicateEdgeError,
@@ -405,6 +405,37 @@ class TestSwitchingIsomorphic:
             perm = list(range(g.n))
             rng.shuffle(perm)
             assert canonical_key(g) == canonical_key(relabel(switch(g, u_set), perm))
+
+
+class TestTwins:
+    """The ordering search tries one vertex per twin class, computed once
+    per graph: that needs the twin test to be an equivalence, and each twin
+    pair to be swapped by a switching automorphism."""
+
+    def test_equivalence_swapped_by_switching(self):
+        rng = random.Random(61)
+        kinds = set()
+        pairs = 0
+        for i in range(2000):
+            n = rng.randint(1, 9)
+            g = random_signed_graph(rng, n, p=(0.2, 0.5, 0.8, 1.0)[i % 4])
+            nbr = [dict(a) for a in g.adjacency]
+            twins = {
+                (v, w) for v in range(n) for w in range(n) if v != w and _is_twin(nbr, v, w)
+            }
+            for v, w in twins:
+                assert (w, v) in twins
+                assert all((v, u) in twins for x, u in twins if x == w and u != v)
+                if v < w:
+                    swap = list(range(n))
+                    swap[v], swap[w] = w, v
+                    h = relabel(g, swap)
+                    assert switching_equivalent(h, g)
+                    kinds.add((w in nbr[v], h == g))
+                    pairs += 1
+        # true and false twins, swapped with and without a switch
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+        assert pairs > 2000
 
 
 class TestSwitchingClassRepresentatives:

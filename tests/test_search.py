@@ -354,14 +354,9 @@ class TestOrbitMinima:
         # at (4,5) three tasks keep classes, so their concatenation counts
         for r, s in [(3, 5), (4, 5)]:
             runs = [run_search(SearchSpace(r, s, jobs=jobs)) for jobs in (1, 2, 3)]
-            for res in runs[1:]:
-                assert res.max_rho == runs[0].max_rho
-                assert res.maximizers == runs[0].maximizers
-                assert res.stats == runs[0].stats
+            assert runs[1] == runs[0] and runs[2] == runs[0]
             certs = [verify_fixed_sizes(r, s, jobs=jobs) for jobs in (1, 2, 3)]
-            for cert in certs[1:]:
-                assert cert.observed_max == certs[0].observed_max
-                assert cert.witnesses == certs[0].witnesses
+            assert certs[1] == certs[0] and certs[2] == certs[0]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("r,s,kept", [(3, 5, 8), (4, 5, 52)])
@@ -461,9 +456,7 @@ class TestOrbitMinima:
         one = run_search(SearchSpace(3, 3))
         assert asked == [2]
         assert mapped == [(space, k) for k in range(3 + 1)]
-        assert wide.max_rho == one.max_rho
-        assert wide.maximizers == one.maximizers
-        assert wide.stats == one.stats
+        assert wide == one
 
     def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_pool):
         """On one CPU, --jobs 2 leaves one worker, so the tasks run in the
@@ -473,9 +466,7 @@ class TestOrbitMinima:
         wide = run_search(SearchSpace(3, 4, jobs=2))
         one = run_search(SearchSpace(3, 4))
         assert asked == [] and mapped == []
-        assert wide.max_rho == one.max_rho
-        assert wide.maximizers == one.maximizers
-        assert wide.stats == one.stats
+        assert wide == one
 
     def test_workers_capped_at_affinity(self, monkeypatch, in_process_pool):
         """A process pinned to one of eight CPUs runs --jobs 2 in process:
@@ -503,11 +494,7 @@ class TestVerifyFixedSizes:
         assert abs(cert.observed_max - math.sqrt(5)) <= 1e-8
 
     def test_determinism_across_jobs(self):
-        c1 = verify_fixed_sizes(3, 4, jobs=1)
-        c2 = verify_fixed_sizes(3, 4, jobs=2)
-        assert c1.result.stats.to_dict() == c2.result.stats.to_dict()
-        assert c1.observed_max == c2.observed_max
-        assert c1.witnesses == c2.witnesses
+        assert verify_fixed_sizes(3, 4, jobs=1) == verify_fixed_sizes(3, 4, jobs=2)
 
     def test_witness_roundtrip_bit_exact(self):
         cert = verify_fixed_sizes(3, 3)
@@ -589,7 +576,92 @@ class TestVerifyFixedOrder:
         assert mapped == [(SearchSpace(3, 5, jobs=2), k) for k in range(6)] + [
             (SearchSpace(4, 4, jobs=2), k) for k in range(5)
         ]
-        assert wide.to_json_dict() == verify_fixed_order(8).to_json_dict()
+        assert wide == verify_fixed_order(8, jobs=1)
+
+
+def _result(r, s, max_rho, *maximizers):
+    return search.SearchResult(r, s, max_rho, maximizers, search.SearchStats())
+
+
+class TestVerdicts:
+    """Every verdict branch of _certify and verify_fixed_order, from search
+    results built by hand."""
+
+    @staticmethod
+    def _other_33_inside_34():
+        # the (3,3) construction with an isolated seventh vertex: a
+        # disconnected class that is not the (3,4) construction
+        g, _ = extremal_graph(3, 3)
+        return SignedGraph(7, g.edges)
+
+    def test_no_maximizer_inconclusive(self):
+        cert = search._certify(_result(3, 4, -math.inf))
+        assert cert.verdict == search.INCONCLUSIVE
+        assert cert.detail == "no admissible class found"
+        assert not cert.unique and cert.witnesses == () and not cert.disconnected_tie
+
+    @pytest.mark.parametrize("offset", [1e-6, -1e-6])
+    def test_maximum_off_bound_refuted(self, offset):
+        g, _ = extremal_graph(3, 4)
+        bound = bound_fixed_sizes(3, 4)
+        cert = search._certify(_result(3, 4, bound + offset, g))
+        assert cert.verdict == search.REFUTED
+        assert cert.detail == f"observed max {bound + offset!r} vs bound {bound!r}"
+        assert cert.unique and not cert.disconnected_tie
+
+    def test_two_classes_refuted(self):
+        g, _ = extremal_graph(3, 4)
+        other = self._other_33_inside_34()
+        cert = search._certify(_result(3, 4, bound_fixed_sizes(3, 4), g, other))
+        assert cert.verdict == search.REFUTED
+        assert cert.detail == "2 maximizer classes, expected 1"
+        assert not cert.unique and cert.disconnected_tie
+        assert cert.witnesses == (sgio.dumps(g), sgio.dumps(other))
+
+    def test_other_class_refuted(self):
+        other = self._other_33_inside_34()
+        cert = search._certify(_result(3, 4, bound_fixed_sizes(3, 4), other))
+        assert cert.verdict == search.REFUTED
+        assert cert.detail == "maximizer class is not the extremal construction"
+        assert cert.unique and cert.disconnected_tie
+
+    def test_construction_confirmed(self):
+        g, _ = extremal_graph(3, 4)
+        result = _result(3, 4, bound_fixed_sizes(3, 4), g)
+        cert = search._certify(result)
+        assert cert.verdict == CONFIRMED and cert.result == result
+        assert cert.detail == "unique maximizer matches the construction"
+        assert cert.unique and not cert.disconnected_tie
+
+    B35, B44 = bound_fixed_sizes(3, 5), bound_fixed_sizes(4, 4)
+
+    @pytest.mark.parametrize(
+        "rho35,rho44,classes44,detail",
+        [
+            (B35, B44 + 1e-6, 1,
+             f"global max {B44 + 1e-6!r} vs bound {B44!r}; "
+             "balanced split verdict REFUTED"),
+            (B44, B44, 1,
+             "maximum attained at split (3,5); split (3,5) ties the maximum"),
+            (B44 - 1e-9, B44, 1, "split (3,5) ties the maximum"),
+            (B35, B44, 2, "balanced split verdict REFUTED"),
+        ],
+        ids=["off_bound", "unbalanced_split", "tie", "balanced_refuted"],
+    )
+    def test_order_problems(self, monkeypatch, rho35, rho44, classes44, detail):
+        g35, _ = extremal_graph(3, 5)
+        g44, _ = extremal_graph(4, 4)
+        results = [_result(3, 5, rho35, g35), _result(4, 4, rho44, *[g44] * classes44)]
+
+        def search_all(spaces):
+            assert [(sp.r, sp.s) for sp in spaces] == [(3, 5), (4, 4)]
+            return results
+
+        monkeypatch.setattr(search, "_search_all", search_all)
+        cert = verify_fixed_order(8)
+        assert cert.verdict == search.REFUTED
+        assert cert.detail == detail
+        assert [c.result for c in cert.per_split] == results
 
 
 class TestSpotCheck:
@@ -606,14 +678,13 @@ class TestSpotCheck:
     def test_determinism(self):
         a = spot_check_random(4, 4, trials=100, seed=3)
         b = spot_check_random(4, 4, trials=100, seed=3)
-        keys = ("violations", "resampled", "max_observed", "bound")
-        assert {k: getattr(a, k) for k in keys} == {k: getattr(b, k) for k in keys}
+        assert a == b
 
     def test_beyond_exhaustive_budget(self):
         report = spot_check_random(5, 5, trials=50, seed=11)
         assert report.violations == 0
 
-    # Reports without wall_time.  The draws, and so every field, follow
+    # The draws, and so every field of the report, follow
     # from the forest, the basis order and the guards, so a rewrite of any
     # of them must reproduce these bit for bit.  The first two are the
     # sample-bounds benchmark plan, seeds from random.Random(1).
@@ -628,9 +699,7 @@ class TestSpotCheck:
 
     @pytest.mark.parametrize("r,s,trials,seed,resampled,max_observed,bound", PINNED)
     def test_reports_pinned(self, r, s, trials, seed, resampled, max_observed, bound):
-        report = spot_check_random(r, s, trials, seed).to_json_dict()
-        del report["wall_time"]
-        assert report == {
+        assert spot_check_random(r, s, trials, seed).to_json_dict() == {
             "r": r,
             "s": s,
             "trials": trials,
