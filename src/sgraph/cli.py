@@ -178,7 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["sizes", "order"])
     p.add_argument("a", type=int, help="r (sizes mode) or n (order mode)")
     p.add_argument("b", type=int, nargs="?", help="s (sizes mode only)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="search on at most this many processes, the calling one included",
+    )
     p.add_argument(
         "--stretch",
         action="store_true",

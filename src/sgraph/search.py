@@ -46,20 +46,22 @@ report.  The unit of work is the first row of a minimum, 2^k - 1 for
 k = 0..s: each of these s + 1 tasks generates and scans its own minima
 and returns its counters and the classes the prune keeps.  The tasks of
 every (r, s) one command searches, all the splits of an order included,
-run in one process or fan out together over a single pool.  The parent
-concatenates each search's results in task order and solves its kept
-classes in one stack; numpy's radius for a class does not depend on the
-stack it is solved in, so the parallelism width never changes the output.
+run in the calling process or fan out together over it and its children,
+each process claiming the next task when it is free (see ``_fan_out``).
+The parent concatenates each search's results in task order and solves
+its kept classes in one stack; numpy's radius for a class does not
+depend on the stack it is solved in, so the parallelism width never
+changes the output.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import islice
-from multiprocessing import Pool
 from typing import Callable, Iterable
 
 import numpy as np
@@ -115,7 +117,7 @@ class SearchSpace:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchStats:
     """Counters over one enumeration run."""
 
@@ -128,9 +130,10 @@ class SearchStats:
     pruned: int = 0
     eigensolved: int = 0
 
-    def merge(self, other: "SearchStats") -> None:
-        for name in vars(other):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+    def merge(self, other: "SearchStats") -> "SearchStats":
+        return SearchStats(
+            *(getattr(self, f.name) + getattr(other, f.name) for f in fields(self))
+        )
 
     def to_dict(self) -> dict:
         return dict(vars(self))
@@ -419,29 +422,37 @@ def _scan(
     """
     r, s = space.r, space.s
     c, d = _coeffs(r, s)
-    stats = SearchStats()
+    graphs = classes = c4_skipped = admissible = pruned = eigensolved = 0
     for mask, weight in masks:
         cotree = _cotree(mask, r, s)
-        stats.graphs += weight
+        graphs += weight
         k = cotree.bit_count()
-        stats.classes += weight << k
-        stats.balanced_skipped += weight
+        classes += weight << k
         if k == 0:
             continue
         basis = _admissible_basis(mask, r, s, cotree)
-        admissible = (1 << len(basis)) - 1
-        stats.c4_skipped += weight * ((1 << k) - 1 - admissible)
-        if not admissible:
+        found = (1 << len(basis)) - 1
+        c4_skipped += weight * ((1 << k) - 1 - found)
+        if not found:
             continue
-        stats.admissible += weight * admissible
+        admissible += weight * found
         m = mask.bit_count()
         skip_eig = not (2 * m >= c and m * m - c * m + d >= 0)
         if skip_eig:
-            stats.pruned += weight * admissible
+            pruned += weight * found
         else:
-            stats.eigensolved += weight * admissible
+            eigensolved += weight * found
         on_graph(mask, basis, skip_eig)
-    return stats
+    # every graph has exactly one balanced class, the empty mask
+    return SearchStats(
+        graphs=graphs,
+        classes=classes,
+        balanced_skipped=graphs,
+        c4_skipped=c4_skipped,
+        admissible=admissible,
+        pruned=pruned,
+        eigensolved=eigensolved,
+    )
 
 
 def enumerate_admissible(
@@ -467,8 +478,7 @@ def enumerate_admissible(
             visitor(AdmissibleClass(r, s, mask, neg))
 
     stats = _scan(space, ((mask, 1) for mask in range(1 << (r * s))), on_graph)
-    stats.graphs_skipped = (1 << (r * s)) - stats.graphs
-    return stats
+    return replace(stats, graphs_skipped=(1 << (r * s)) - stats.graphs)
 
 
 def _search_chunk(args) -> tuple[SearchStats, list[tuple[int, int]]]:
@@ -561,14 +571,82 @@ def _group_into_classes(graphs: list[SignedGraph]) -> list[SignedGraph]:
     return reps
 
 
+def _claim(work: list, counter) -> Iterable[tuple[int, tuple]]:
+    """(index, result) of each task this process takes from the shared
+    ``counter``, the index of the next unclaimed task, until none is left."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value += 1
+        if i >= len(work):
+            return
+        yield i, _search_chunk(work[i])
+
+
+def _worker(work: list, counter, conn) -> None:
+    """A child of ``_fan_out``: sends its (index, result) pairs, or the
+    exception that stopped it, in one message."""
+    try:
+        done = list(_claim(work, counter))
+    except Exception as exc:
+        done = exc
+    conn.send(done)
+    conn.close()
+
+
+def _fan_out(work: list, workers: int) -> list:
+    """``_search_chunk`` of every task, in task order, run by ``workers``
+    processes: the calling one and ``workers - 1`` children.
+
+    Each process claims the next task when it is free, so the heaviest
+    first rows never queue behind each other in one worker.  A child's
+    exception is re-raised here; a child that exits without reporting
+    raises ``SgraphError``.  On any failure the children still running
+    are terminated, and every child is joined before this returns.
+    """
+    counter = multiprocessing.Value("i", 0)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(
+                target=_worker, args=(work, counter, send), daemon=True
+            )
+            child.start()
+            send.close()  # so that the pipe reads EOF once the child is gone
+            children.append((child, recv))
+        done = dict(_claim(work, counter))
+        for child, recv in children:
+            try:
+                part = recv.recv()
+            except EOFError:
+                child.join()
+                raise SgraphError(
+                    f"a search worker exited with code {child.exitcode} "
+                    "before it reported its tasks"
+                ) from None
+            if isinstance(part, Exception):
+                raise part
+            done.update(part)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return [done[i] for i in range(len(work))]
+
+
 def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
     """Exhaustive maximum-spectral-radius searches of every space through
     one fan-out.
 
     The tasks of all spaces, space after space and k = 0..s within each,
-    go to one pool, or run in the calling process when one worker is
-    left.  Each space is then reduced from its own slice of the results,
-    in task order.
+    go to one ``_fan_out``, or run in the calling process when one worker
+    is left.  Each space is then reduced from its own slice of the
+    results, in task order.
     """
     work = [(space, k) for space in spaces for k in range(space.s + 1)]
     try:
@@ -580,10 +658,7 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
     if workers == 1:
         parts = [_search_chunk(w) for w in work]
     else:
-        # one task per dispatch: map's default chunks would queue a large
-        # split's heaviest first rows behind each other in one worker
-        with Pool(workers) as pool:
-            parts = pool.map(_search_chunk, work, chunksize=1)
+        parts = _fan_out(work, workers)
     results = []
     parts = iter(parts)
     for space in spaces:
@@ -591,9 +666,9 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
         stats = SearchStats()
         kept: list[tuple[int, int]] = []
         for part_stats, part_kept in islice(parts, s + 1):
-            stats.merge(part_stats)
+            stats = stats.merge(part_stats)
             kept.extend(part_kept)
-        stats.graphs_skipped = (1 << (r * s)) - stats.graphs
+        stats = replace(stats, graphs_skipped=(1 << (r * s)) - stats.graphs)
         rhos = _spectral_radii(r, s, kept).tolist() if kept else []
         best = max(rhos, default=-math.inf)
         # representatives and their order come from core.forest_normalize alone
@@ -702,10 +777,10 @@ def verify_fixed_order(
     and certify that the global maximum matches the fixed-order bound and
     is attained only at the balanced split.
 
-    The tasks of all splits fan out through one pool of at most ``jobs``
-    workers; each split is then reduced and certified as
-    ``verify_fixed_sizes`` would, so the certificate does not depend on
-    ``jobs``.
+    The tasks of all splits fan out together over at most ``jobs``
+    processes, the calling one included; each split is then reduced and
+    certified as ``verify_fixed_sizes`` would, so the certificate does not
+    depend on ``jobs``.
     """
     if n < 6:
         raise BadParamsError(f"order verification needs n >= 6, got {n}")

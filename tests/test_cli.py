@@ -3,7 +3,13 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,36 +315,26 @@ class TestVerify:
         assert code == 5 and out == ""
 
     @pytest.fixture
-    def failing_pool(self, monkeypatch):
-        """A stand-in pool whose map raises, on two usable CPUs, so that
+    def failing_fan_out(self, monkeypatch):
+        """A stand-in fan-out that raises, on two usable CPUs, so that
         --jobs 2 asks for it on any machine."""
 
-        class FailingPool:
-            def __init__(self, processes):
-                pass
+        def fan_out(work, workers):
+            raise RuntimeError("worker died")
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work, chunksize=None):
-                raise RuntimeError("worker died")
-
-        monkeypatch.setattr(search, "Pool", FailingPool)
+        monkeypatch.setattr(search, "_fan_out", fan_out)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
-    def test_worker_failure_exit_3(self, capsys, failing_pool):
-        # an exception re-raised by the pool is an internal failure, exit
+    def test_worker_failure_exit_3(self, capsys, failing_fan_out):
+        # an exception re-raised by the fan-out is an internal failure, exit
         # 3, never a traceback with exit 1 (REFUTED)
         code, out, err = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "worker died" in err
 
-    def test_order_worker_failure_exit_3(self, capsys, failing_pool):
-        # the order search's one pool fails the whole command: no split is
+    def test_order_worker_failure_exit_3(self, capsys, failing_fan_out):
+        # the order search's one fan-out fails the whole command: no split is
         # printed
         code, out, err = run(capsys, "verify", "order", "8", "--jobs", "2")
         assert code == 3 and out == ""
@@ -414,8 +410,8 @@ class TestVerify:
         ids=["order_9_csv", "order_10_stretch"],
     )
     def test_order_stdout_same_for_any_jobs(self, capsys, monkeypatch, argv, sha256):
-        # a real pool of two: every split's tasks share it, and stdout is
-        # the pinned bytes of the one-job run
+        # a real fan-out over two processes: every split's tasks share it,
+        # and stdout is the pinned bytes of the one-job run
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         outs = [run(capsys, "verify", *argv, "--jobs", jobs)[1] for jobs in ("1", "2")]
         assert outs[0] == outs[1]
@@ -428,6 +424,111 @@ class TestVerify:
         _, csv1, _ = run(capsys, "verify", "sizes", "3", "3", "--csv")
         _, csv2, _ = run(capsys, "verify", "sizes", "3", "3", "--csv")
         assert csv1 == csv2
+
+
+class Hung(BaseException):
+    """Raised by ``deadline``; not an Exception, so cli.main cannot turn
+    it into an exit code."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test still running after 60 s instead of letting it hang."""
+
+    def hung(signum, frame):
+        raise Hung("still running after 60 s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched task reaches the children only when they are forked",
+)
+class TestRealWorkers:
+    """verify order 8 --jobs 2 on two usable CPUs, with the calling process
+    and one forked child sharing the tasks, and a failure in one of them:
+    exit 3 within seconds, one error line, and no child left running."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch, deadline):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def fail_in(monkeypatch, *, parent, child):
+        """Run ``parent`` in place of a task in the calling process and
+        ``child`` in place of one in a worker; either may return None to
+        run the task as usual."""
+        me = os.getpid()
+        task = search._search_chunk
+
+        def chunk(args):
+            out = (parent if os.getpid() == me else child)(args)
+            return task(args) if out is None else out
+
+        monkeypatch.setattr(search, "_search_chunk", chunk)
+
+    def failed(self, capsys) -> str:
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "order", "8", "--jobs", "2")
+        assert time.perf_counter() - start < 10
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+        return err
+
+    @staticmethod
+    def slow(args):
+        # the calling process waits before each task, so the child claims
+        # some however late it starts
+        time.sleep(0.05)
+
+    def test_dead_worker_exit_3(self, capsys, monkeypatch):
+        # a worker killed mid-task (as by the OOM killer) never reports
+        self.fail_in(monkeypatch, parent=self.slow, child=lambda args: os._exit(1))
+        assert "exited with code 1" in self.failed(capsys)
+
+    def test_worker_exception_exit_3(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("raised in a worker")
+
+        self.fail_in(monkeypatch, parent=self.slow, child=boom)
+        assert "RuntimeError: raised in a worker" in self.failed(capsys)
+
+    def test_parent_share_failure_terminates_workers(self, capsys, monkeypatch):
+        # the child would sleep through every task it claims: only
+        # terminating it lets the command return
+        def boom(args):
+            raise RuntimeError("raised in the calling process")
+
+        self.fail_in(monkeypatch, parent=boom, child=lambda args: time.sleep(3600))
+        assert "RuntimeError: raised in the calling process" in self.failed(capsys)
+
+
+def test_spawned_workers_print_the_one_job_stdout(capsys):
+    """Under the spawn start method (the default on macOS and Windows) the
+    children import sgraph afresh and get their tasks pickled; stdout is
+    still the one-job bytes."""
+    script = (
+        "import multiprocessing, os, sys\n"
+        "from sgraph import cli\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "    sys.exit(cli.main(['verify', 'order', '8', '--jobs', '2']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spawned = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=50
+    )
+    assert spawned.returncode == 0, spawned.stderr
+    assert spawned.stdout == run(capsys, "verify", "order", "8")[1]
 
 
 class TestIOErrors:

@@ -1,8 +1,11 @@
 """Exhaustive enumeration, certificates, determinism, and the sampler."""
 
+import dataclasses
 import math
+import multiprocessing
 import os
 import random
+import time
 from itertools import combinations_with_replacement, permutations
 
 import pytest
@@ -226,30 +229,19 @@ def all_minima(r: int, s: int) -> list[tuple[int, int]]:
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replace search's Pool by a stand-in that maps in-process, so no
-    process is started however many are asked for.  Returns the pool sizes
-    asked for and the work mapped.  Its map takes one task per dispatch,
-    as the search asks, so that no worker queues heavy tasks in a chunk."""
+def in_process_fan_out(monkeypatch):
+    """Replace search's fan-out by a stand-in that runs every task
+    in-process, so no process is started however many are asked for.
+    Returns the worker counts asked for and the tasks handed out."""
     asked = []
     mapped = []
 
-    class InProcessPool:
-        def __init__(self, processes):
-            asked.append(processes)
+    def fan_out(work, workers):
+        asked.append(workers)
+        mapped.extend(work)
+        return [search._search_chunk(w) for w in work]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work, chunksize):
-            assert chunksize == 1
-            mapped.extend(work)
-            return [fn(w) for w in work]
-
-    monkeypatch.setattr(search, "Pool", InProcessPool)
+    monkeypatch.setattr(search, "_fan_out", fan_out)
     return asked, mapped
 
 
@@ -360,7 +352,7 @@ class TestOrbitMinima:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("r,s,kept", [(3, 5, 8), (4, 5, 52)])
-    def test_one_solve_per_search(self, monkeypatch, in_process_pool, r, s, kept, jobs):
+    def test_one_solve_per_search(self, monkeypatch, in_process_fan_out, r, s, kept, jobs):
         """The workers solve nothing: run_search solves every class the
         prune keeps in one call."""
         calls = []
@@ -444,12 +436,12 @@ class TestOrbitMinima:
         for g in run_search(SearchSpace(r, s)).maximizers:
             assert forest_normalize(g).graph == g
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch, in_process_pool):
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, in_process_fan_out):
         """--jobs beyond the CPU count asks for no more processes than
         CPUs or tasks, and maps exactly the s + 1 first-row tasks that
-        one job runs.  The pool is a stand-in that maps in-process, so no
-        process is started however large jobs is."""
-        asked, mapped = in_process_pool
+        one job runs.  The fan-out is a stand-in that runs in-process, so
+        no process is started however large jobs is."""
+        asked, mapped = in_process_fan_out
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         space = SearchSpace(3, 3, jobs=10_000)
         wide = run_search(space)
@@ -458,20 +450,20 @@ class TestOrbitMinima:
         assert mapped == [(space, k) for k in range(3 + 1)]
         assert wide == one
 
-    def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_pool):
+    def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_fan_out):
         """On one CPU, --jobs 2 leaves one worker, so the tasks run in the
-        calling process and no pool is asked for."""
-        asked, mapped = in_process_pool
+        calling process and no fan-out is asked for."""
+        asked, mapped = in_process_fan_out
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         wide = run_search(SearchSpace(3, 4, jobs=2))
         one = run_search(SearchSpace(3, 4))
         assert asked == [] and mapped == []
         assert wide == one
 
-    def test_workers_capped_at_affinity(self, monkeypatch, in_process_pool):
+    def test_workers_capped_at_affinity(self, monkeypatch, in_process_fan_out):
         """A process pinned to one of eight CPUs runs --jobs 2 in process:
         the CPUs it may use count, not the machine's."""
-        asked, mapped = in_process_pool
+        asked, mapped = in_process_fan_out
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         verify_fixed_order(8, jobs=2)
@@ -545,19 +537,19 @@ class TestVerifyFixedOrder:
 
     def test_budget_refused_before_any_split(self, monkeypatch):
         # (3,8) fits the default budget and (5,6) does not: no split may
-        # run, whether through run_search, a task in process or a pool
+        # run, whether through run_search, a task in process or a fan-out
         def unreachable(space):
             raise AssertionError(f"searched ({space.r},{space.s})")
 
         def no_task(args):
             unreachable(args[0])
 
-        def no_pool(processes):
-            raise AssertionError(f"asked for a pool of {processes}")
+        def no_fan_out(work, workers):
+            raise AssertionError(f"asked for a fan-out over {workers} workers")
 
         monkeypatch.setattr(search, "run_search", unreachable)
         monkeypatch.setattr(search, "_search_chunk", no_task)
-        monkeypatch.setattr(search, "Pool", no_pool)
+        monkeypatch.setattr(search, "_fan_out", no_fan_out)
         with pytest.raises(BudgetExceededError):
             verify_fixed_order(11)
 
@@ -566,10 +558,10 @@ class TestVerifyFixedOrder:
         with pytest.raises(BudgetExceededError, match=r"^r\*s = 27 needs the stretch flag"):
             verify_fixed_order(12)
 
-    def test_one_pool_per_order(self, monkeypatch, in_process_pool):
-        """Every split's tasks go through one pool, split after split and
-        k = 0..s within each, and the certificate is the one-job one."""
-        asked, mapped = in_process_pool
+    def test_one_pool_per_order(self, monkeypatch, in_process_fan_out):
+        """Every split's tasks go through one fan-out, split after split
+        and k = 0..s within each, and the certificate is the one-job one."""
+        asked, mapped = in_process_fan_out
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         wide = verify_fixed_order(8, jobs=2)
         assert asked == [2]
@@ -577,6 +569,52 @@ class TestVerifyFixedOrder:
             (SearchSpace(4, 4, jobs=2), k) for k in range(5)
         ]
         assert wide == verify_fixed_order(8, jobs=1)
+
+
+class TestFanOut:
+    """The real fan-out: the calling process works too, and every
+    task's result comes back once, in task order."""
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched task reaches the child only when it is forked",
+    )
+    def test_results_in_task_order(self, monkeypatch):
+        me = os.getpid()
+
+        def chunk(i):
+            if os.getpid() == me:
+                time.sleep(0.05)  # so the child claims some however late it starts
+            return os.getpid(), i
+
+        monkeypatch.setattr(search, "_search_chunk", chunk)
+        out = search._fan_out(list(range(30)), 2)
+        assert [i for _, i in out] == list(range(30))
+        pids = {pid for pid, _ in out}
+        assert os.getpid() in pids and len(pids) == 2
+        assert multiprocessing.active_children() == []
+
+
+class TestResultValues:
+    """Search results are frozen values, stats included."""
+
+    def test_hash_equal_across_jobs(self, monkeypatch):
+        """Stats that cross a pipe still make results equal, with equal
+        hashes, to the one-job ones."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        one, two = (verify_fixed_order(8, jobs=jobs) for jobs in (1, 2))
+        assert one == two and hash(one) == hash(two)
+        for a, b in zip(one.per_split, two.per_split):
+            assert hash(a) == hash(b) and hash(a.result) == hash(b.result)
+        assert len({one, two, *one.per_split}) == 3
+
+    def test_stats_frozen_and_merged_into_a_new_value(self):
+        left = search.SearchStats(graphs=1, pruned=2)
+        right = search.SearchStats(graphs=3, eigensolved=4)
+        assert left.merge(right) == search.SearchStats(graphs=4, pruned=2, eigensolved=4)
+        assert left == search.SearchStats(graphs=1, pruned=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            left.graphs = 5
 
 
 def _result(r, s, max_rho, *maximizers):
