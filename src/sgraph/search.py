@@ -25,11 +25,15 @@ a prefix only when no row and column permutation makes it smaller, and
 each stands for its orbit of r!*s!/|Aut| labelled graphs.  A kept prefix
 keeps the nodes of its placement tree and the rows left at each: only
 rows packed in the cells of its own row order are tried, and each is
-tested and placed at those nodes, never from the root (see
-``_minimal_masks``).  The counters
-are isomorphism invariants, so the weighted totals equal those of the
-full 2^(r*s) cube.  Spectral radii are sqrt(lambda_max(B B^T)) for the
-r x s signed biadjacency matrix B, solved by numpy in one stack per search.
+tested and placed at those nodes, never from the root.  A prefix's one
+completion by full rows is a minimum whenever the prefix is, so it is
+emitted with its weight in closed form (see ``_minimal_masks``).  The
+counters are isomorphism invariants, so the weighted totals equal those
+of the full 2^(r*s) cube.  A graph with a full row or a full column
+carries no admissible class, so the scan counts its classes in closed
+form, with no co-tree or parity system (see ``_scan``).  Spectral radii
+are sqrt(lambda_max(B B^T)) for the r x s signed biadjacency matrix B,
+solved by numpy in one stack per search.
 A graph with m edges has rho^2 <= tr(B B^T) = m, so its classes skip the
 eigensolve when m is below beta, the square of the closed-form bound: an
 integer test on (r, s, m) that the search derives from (r, s) alone.
@@ -61,7 +65,9 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass, fields, replace
+from functools import reduce
 from itertools import islice
+from operator import or_
 from typing import Callable, Iterable
 
 import numpy as np
@@ -229,51 +235,93 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
 
     A kept prefix P carries the nodes of its ``_place`` tree; a leaf is a
     node with no rows left.  Placed in their own order, P's rows reach a
-    leaf whose cells are intervals; a row not packed in them has a smaller
-    image there, so only packed rows are tried.  The tree of P + (t,) is
-    P's, with t added to the rows left at every node, plus the placements
-    of t.  So t is rejected if its image at a node is below the tuple's
-    row there, and ``_place`` places it wherever the image ties and the
-    rows left do not already hold t: t always goes last of its equal
-    copies, and only the first row is placed from the root.
-    """
-    out = []
-    scale = math.factorial(r) * math.factorial(s)
-    root = [((1 << s) - 1, 0)]
+    leaf whose cells are intervals, the last node; a row not packed in
+    them has a smaller image there, so only packed rows are tried, and
+    each ties at that leaf.  The tree of P + (t,) is P's, with t added to
+    the rows left at every node, plus the placements of t.  So t is
+    rejected if its image at a node is below the tuple's row there, and
+    ``_place`` places it wherever the image ties and the rows left do not
+    already hold t: t always goes last of its equal copies, and only the
+    first row is placed from the root.  At the last row a tie at a leaf
+    is one placement, and nothing is placed.  P also carries its mask and
+    prod(mult!) over its equal rows, so a full tuple's weight needs only
+    t's ones in each of P's cells.
 
-    def extend(prefix, nodes, ident):
+    The full row 2^s - 1 is the largest candidate, and every row after it
+    is full.  Column permutations fix full rows, and full rows sort last,
+    so P + full^(r - j), for P of j rows, is a minimum exactly when P is,
+    with P's leaves as its placements and P's cells.  It is emitted last
+    among P's extensions, with weight r!*s! / (leaves(P) * prod(mult(P)!)
+    * (r - j)! * prod(cell(P)!)), and never placed or extended.
+    """
+    full = (1 << s) - 1
+    if k == s:
+        return [((1 << r * s) - 1, 1)]
+    out = []
+    fact = [math.factorial(i) for i in range(max(r, s) + 1)]
+    scale = fact[r] * fact[s]
+    root = [(full, 0)]
+
+    def extend(prefix, nodes, pmask, perms, run):
+        # pmask is the prefix's mask, perms the product of mult! over its
+        # equal rows and run the number of copies of its last row.  The
+        # last node is the leaf of the prefix's own row order: every
+        # packed row ties there, and placing it there appends the new one
+        j = len(prefix)
+        ident = nodes[-1][1]
+        others = nodes[:-1]
         packed = [0]
         for cols, lo in ident:
             ones = range(cols.bit_count() + 1)
             packed = [x | ((1 << c) - 1) << lo for x in packed for c in ones]
-        for t in sorted(x for x in packed if x >= prefix[-1]):
+        # the full row is packed and the largest candidate, so it comes last
+        for t in sorted(x for x in packed if x >= prefix[-1])[:-1]:
             rows = prefix + (t,)
             ties = []
-            for d, cells, left in nodes:
+            for d, cells, left in others:
                 img = _packed(t, cells)
                 if img < rows[d]:
                     break
                 if img == rows[d] and not left.get(t):
                     ties.append((d, cells, left))
             else:
-                grown = None if len(rows) == r else [  # a full tuple needs no tree
-                    (d, c, {**left, t: left.get(t, 0) + 1}) for d, c, left in nodes]
-                subs = [_place(rows, d + 1, _refine(t, c), left, grown) for d, c, left in ties]
-                if None in subs:
+                trun = run + 1 if t == prefix[-1] else 1
+                mask = pmask << s | t
+                if j + 1 < r:
+                    grown = [(d, c, {**left, t: left.get(t, 0) + 1}) for d, c, left in nodes]
+                    ties.append(nodes[-1])
+                    if all(_place(rows, d + 1, _refine(t, c), left, grown) is not None
+                           for d, c, left in ties):
+                        extend(rows, grown, mask, perms * trun, trun)
                     continue
-                cells = _refine(t, ident)
-                if grown is not None:
-                    extend(rows, grown, cells)
+                # a full tuple needs no tree, and a tie at a leaf, the last
+                # node's included, is one placement
+                count = 1
+                for d, c, left in ties:
+                    sub = 1 if d == j else _place(rows, d + 1, _refine(t, c), left)
+                    if sub is None:
+                        break
+                    count += sub
                 else:
-                    perms = math.prod(math.factorial(rows.count(x)) for x in set(rows))
-                    perms *= math.prod(math.factorial(c.bit_count()) for c, _ in cells)
-                    mask = sum(row << (r - 1 - i) * s for i, row in enumerate(rows))
-                    out.append((mask, scale // (sum(subs) * perms)))
+                    colperms = 1
+                    for cols, _ in ident:
+                        ones = (t & cols).bit_count()
+                        colperms *= fact[ones] * fact[cols.bit_count() - ones]
+                    out.append((mask, scale // (count * perms * trun * colperms)))
+        # P + full^(r - j) is a minimum since P is: its placements are P's
+        # leaves and its cells P's
+        rest = r - j
+        leaves = sum(d == j for d, _, _ in nodes)
+        colperms = math.prod(fact[cols.bit_count()] for cols, _ in ident)
+        out.append((
+            pmask << rest * s | (1 << rest * s) - 1,
+            scale // (leaves * perms * fact[rest] * colperms),
+        ))
 
     first = ((1 << k) - 1,)
     nodes = []
     _place(first, 0, root, {first[0]: 1}, nodes)
-    extend(first, nodes, _refine(first[0], root))
+    extend(first, nodes, first[0], 1, 1)
     return out
 
 
@@ -419,13 +467,40 @@ def _scan(
     span of ``basis`` is the set of admissible negative-slot masks.
     ``skip_eig`` holds when the graph's m edges are fewer than beta, the
     larger root of x^2 - c x + d: then no class on it reaches the bound.
+
+    A graph with a full row or a full column carries no admissible class.
+    Switch the columns so that a full row is all positive: every 4-cycle
+    through it forces each other row's edges to one sign, and switching
+    that row makes them positive (a full column likewise).  Its non-
+    isolated vertices form one component, so its 2^k classes, with
+    k = m - (r + s) + 1 + the isolated vertices, are counted with no
+    co-tree or parity system: all but the balanced one as ``c4_skipped``.
+    The rows are tested, not a minimum's shape, because
+    ``enumerate_admissible`` passes every labelled mask through here.
     """
     r, s = space.r, space.s
     c, d = _coeffs(r, s)
+    full = (1 << s) - 1
     graphs = classes = c4_skipped = admissible = pruned = eigensolved = 0
+    shifts = range(0, r * s, s)
     for mask, weight in masks:
-        cotree = _cotree(mask, r, s)
         graphs += weight
+        common = full  # the columns every row holds
+        for x in shifts:
+            row = mask >> x & full
+            if row == full:
+                break
+            common &= row
+        if row == full or common:
+            # no admissible class, and every vertex that is not isolated
+            # is in one component
+            rows = _rows_of(mask, r, s)
+            isolated = rows.count(0) + s - reduce(or_, rows).bit_count()
+            k = mask.bit_count() - (r + s) + 1 + isolated
+            classes += weight << k
+            c4_skipped += weight * ((1 << k) - 1)
+            continue
+        cotree = _cotree(mask, r, s)
         k = cotree.bit_count()
         classes += weight << k
         if k == 0:

@@ -417,6 +417,15 @@ class TestVerify:
         assert outs[0] == outs[1]
         assert hashlib.sha256(outs[0].encode()).hexdigest() == sha256
 
+    def test_sizes_5_6_stdout_pinned(self, capsys):
+        # past the goldens: every counter, witness and ulp of (5,6), whose
+        # minima are rich in full rows and full columns
+        code, out, _ = run(capsys, "verify", "sizes", "5", "6", "--stretch")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e1a11b6cacc54b659b97d78bd46185bc2a0bc9d932ef0606229b1c99f70cac43"
+        )
+
     def test_byte_identical_across_runs(self, capsys):
         _, out1, _ = run(capsys, "verify", "sizes", "3", "3", "--jobs", "2")
         _, out2, _ = run(capsys, "verify", "sizes", "3", "3")

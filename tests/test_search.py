@@ -6,7 +6,9 @@ import multiprocessing
 import os
 import random
 import time
+from functools import reduce
 from itertools import combinations_with_replacement, permutations
+from operator import and_
 
 import pytest
 
@@ -341,6 +343,62 @@ class TestOrbitMinima:
         if float_rule:
             assert stats.pruned == sum(below)
             assert stats.eigensolved == len(below) - sum(below)
+
+    @pytest.mark.parametrize(
+        "r,s",
+        [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6)],
+    )
+    def test_full_row_or_column_counted_in_closed_form(self, r, s):
+        """A full row or a full column dominates every other vertex on its
+        side, so its graph carries no admissible class, and _scan counts
+        it without a co-tree.  Each such minimum is checked against the
+        co-tree and the parity system: no basis vector, and 2^k classes
+        with k the co-tree's size, all but the balanced one skipped."""
+        full = (1 << s) - 1
+        space = SearchSpace(r, s, stretch=True)
+        dominated = 0
+        for mask, _ in all_minima(r, s):
+            rows = search._rows_of(mask, r, s)
+            if full not in rows and not reduce(and_, rows):
+                continue
+            dominated += 1
+            cotree = _cotree(mask, r, s)
+            assert search._admissible_basis(mask, r, s, cotree) == []
+            stats = search._scan(space, [(mask, 1)], on_graph=None)  # never called
+            assert stats.classes == 1 << cotree.bit_count()
+            assert stats.c4_skipped == stats.classes - 1
+            assert stats.admissible == 0
+        assert dominated
+
+    @pytest.mark.parametrize("r,s,cases", [(4, 5, 6229), (5, 5, 35208)])
+    def test_deleting_a_dominated_vertex_keeps_the_admissible_dimension(self, r, s, cases):
+        """The domination lemma: if N(v) is inside N(a) for another vertex a
+        on v's side, G and G - v have admissible spaces of one dimension.
+        Checked for every such v of every minimum, rows and columns."""
+        def dimension(rows, s):
+            mask = sum(row << a * s for a, row in enumerate(rows))
+            r = len(rows)
+            return len(search._admissible_basis(mask, r, s, _cotree(mask, r, s)))
+
+        def dominated(sets):
+            return [
+                v for v, nv in enumerate(sets)
+                if any(nv & ~na == 0 for a, na in enumerate(sets) if a != v)
+            ]
+
+        seen = 0
+        for mask, _ in all_minima(r, s):
+            rows = search._rows_of(mask, r, s)
+            cols = [sum((row >> b & 1) << a for a, row in enumerate(rows)) for b in range(s)]
+            want = dimension(rows, s)
+            for a in dominated(rows):
+                assert dimension(rows[:a] + rows[a + 1:], s) == want
+                seen += 1
+            for b in dominated(cols):
+                low = (1 << b) - 1  # column b goes, the ones above move down
+                assert dimension([row & low | row >> 1 & ~low for row in rows], s - 1) == want
+                seen += 1
+        assert seen == cases
 
     def test_identical_across_jobs_3_5(self):
         # at (4,5) three tasks keep classes, so their concatenation counts
