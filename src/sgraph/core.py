@@ -398,7 +398,8 @@ def has_negative_c4(g: SignedGraph) -> CycleWitness | None:
     where exactly one of the two edges is negative.  A negative 4-cycle
     through u and w exists iff ``minus`` is neither empty nor all of
     ``common``; the first pair in order gives (u, lowest plus, w, lowest
-    minus).
+    minus).  A vertex on a 4-cycle has two neighbours on it, so only such
+    vertices are paired.
     """
     nbrs = [0] * g.n
     negs = [0] * g.n
@@ -408,9 +409,10 @@ def has_negative_c4(g: SignedGraph) -> CycleWitness | None:
         if s < 0:
             negs[u] |= 1 << v
             negs[v] |= 1 << u
-    for u in range(g.n):
+    busy = [v for v in range(g.n) if nbrs[v] & (nbrs[v] - 1)]
+    for i, u in enumerate(busy):
         nbr_u, neg_u = nbrs[u], negs[u]
-        for w in range(u + 1, g.n):
+        for w in busy[i + 1:]:
             common = nbr_u & nbrs[w]
             minus = common & (neg_u ^ negs[w])
             if minus and minus != common:

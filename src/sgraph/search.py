@@ -14,7 +14,8 @@ balanced class and is skipped; a class is admissible when it is
 unbalanced and every 4-cycle has positive sign.  The 4-cycle condition
 is a linear system over GF(2) in the co-tree slots, so the admissible
 classes are the nonzero vectors of its solution space, listed from a
-basis.  The randomized sampler draws from the same solution space.
+basis (see ``_classes``, which the exhaustive scans and the randomized
+sampler share).
 
 The exhaustive search visits one mask per orbit of the row and column
 permutations S_r x S_s, which are graph isomorphisms: the smallest.  Its
@@ -30,13 +31,13 @@ completion by full rows is a minimum whenever the prefix is, so it is
 emitted with its weight in closed form (see ``_minimal_masks``).  The
 counters are isomorphism invariants, so the weighted totals equal those
 of the full 2^(r*s) cube.  A graph with a full row or a full column
-carries no admissible class, so the scan counts its classes in closed
-form, with no co-tree or parity system (see ``_scan``).  Spectral radii
-are sqrt(lambda_max(B B^T)) for the r x s signed biadjacency matrix B,
-solved by numpy in one stack per search.
-A graph with m edges has rho^2 <= tr(B B^T) = m, so its classes skip the
-eigensolve when m is below beta, the square of the closed-form bound: an
-integer test on (r, s, m) that the search derives from (r, s) alone.
+carries no admissible class, so its classes are counted in closed form,
+with no co-tree or parity system.  Spectral radii are sqrt(lambda_max(B
+B^T)) for the r x s signed biadjacency matrix B, solved by numpy in one
+stack per search.  A graph with m edges has rho^2 <= tr(B B^T) = m, so
+its classes skip the eigensolve when m is below beta, the square of the
+closed-form bound: an integer test on (r, s, m) that the search derives
+from (r, s) alone.
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
@@ -145,25 +146,13 @@ class SearchStats:
         return dict(vars(self))
 
 
-@dataclass(frozen=True)
-class AdmissibleClass:
-    """One admissible (underlying graph, switching class) pair: its edges
-    and its negative edges as masks over the r*s slots."""
-
-    r: int
-    s: int
-    edge_mask: int
-    negative_mask: int
-
-    def signed_graph(self) -> SignedGraph:
-        r, s, neg = self.r, self.s, self.negative_mask
-        return SignedGraph(
-            r + s,
-            tuple(
-                (i // s, r + i % s, -1 if neg >> i & 1 else 1)
-                for i in _bit_list(self.edge_mask)
-            ),
-        )
+def _signed_graph(r: int, s: int, mask: int, neg: int) -> SignedGraph:
+    """The signed graph of the class (mask, neg): its edges and its
+    negative edges as masks over the r*s slots."""
+    return SignedGraph(
+        r + s,
+        tuple((i // s, r + i % s, -1 if neg >> i & 1 else 1) for i in _bit_list(mask)),
+    )
 
 
 def _rows_of(mask: int, r: int, s: int) -> list[int]:
@@ -325,8 +314,8 @@ def _minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:
     return out
 
 
-def _cotree(mask: int, r: int, s: int) -> int:
-    """Co-tree slot mask of the subset graph.
+def _cotree(rows: list[int], s: int) -> int:
+    """Co-tree slot mask of the graph whose row a is ``rows[a]``.
 
     The spanning forest keeps each slot, taken in ascending order, that
     joins two components; the co-tree is every other slot.  Rows are
@@ -335,11 +324,9 @@ def _cotree(mask: int, r: int, s: int) -> int:
     row meets the forest keeps the row's lowest column in it, and it keeps
     every column not seen before; those components then merge.
     """
-    full = (1 << s) - 1
     groups: list[int] = []
     seen = cotree = 0
-    for a in range(r):
-        row = mask >> a * s & full
+    for a, row in enumerate(rows):
         if not row:
             continue
         keep = row & ~seen
@@ -403,18 +390,18 @@ def _gf2_nullspace_basis(rows: Iterable[int], cols: int) -> list[int]:
     return basis
 
 
-def _admissible_basis(mask: int, r: int, s: int, cotree: int) -> list[int]:
+def _admissible_basis(rows: list[int], s: int, cotree: int) -> list[int]:
     """Basis, as negative-slot masks inside the co-tree, of the classes
-    under which every 4-cycle of the underlying graph is positive.  Its
-    nonzero span is the set of admissible classes (the empty mask is the
-    balanced class).
+    under which every 4-cycle of the graph whose row a is ``rows[a]`` is
+    positive.  Its nonzero span is the set of admissible classes (the
+    empty mask is the balanced class).
 
     For left vertices a1 < a2 with common neighbours c0 < c1 < ..., the
     4-cycles through (c0, cj) span those through every pair (ci, cj), so
     only they become parity rows, each cut down to its co-tree slots.  The
     rows are made as the elimination asks for them.
     """
-    rows = _rows_of(mask, r, s)
+    r = len(rows)
 
     def parity():
         for a1 in range(r):
@@ -453,59 +440,56 @@ def _spectral_radii(r: int, s: int, signed: list[tuple[int, int]]) -> np.ndarray
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _scan(
-    space: SearchSpace,
-    masks: Iterable[tuple[int, int]],
-    on_graph: Callable,
-) -> SearchStats:
-    """Count the classes on every (mask, weight) of ``masks``.
-
-    Each counter of a graph is multiplied by its weight, the number of
-    labelled graphs it stands for.  ``graphs_skipped`` is left to the
-    caller, which alone sees the whole cube.  ``on_graph(mask, basis,
-    skip_eig)`` runs once per graph with an admissible class; the nonzero
-    span of ``basis`` is the set of admissible negative-slot masks.
-    ``skip_eig`` holds when the graph's m edges are fewer than beta, the
-    larger root of x^2 - c x + d: then no class on it reaches the bound.
+def _classes(mask: int, r: int, s: int) -> tuple[int, list[int]]:
+    """(k, basis) for the graph ``mask``: it carries 2^k switching classes,
+    one per negative-slot mask inside its co-tree, and the nonzero span of
+    ``basis`` is the set of its admissible ones.
 
     A graph with a full row or a full column carries no admissible class.
     Switch the columns so that a full row is all positive: every 4-cycle
     through it forces each other row's edges to one sign, and switching
     that row makes them positive (a full column likewise).  Its non-
-    isolated vertices form one component, so its 2^k classes, with
-    k = m - (r + s) + 1 + the isolated vertices, are counted with no
-    co-tree or parity system: all but the balanced one as ``c4_skipped``.
-    The rows are tested, not a minimum's shape, because
-    ``enumerate_admissible`` passes every labelled mask through here.
+    isolated vertices form one component, so k = m - (r + s) + 1 + the
+    isolated vertices, with no co-tree or parity system.  The rows are
+    tested, not a minimum's shape: the full-cube scan and the sampler
+    pass arbitrary masks through here.
     """
-    r, s = space.r, space.s
-    c, d = _coeffs(r, s)
+    rows = _rows_of(mask, r, s)
     full = (1 << s) - 1
+    common = full  # the columns every row holds
+    for row in rows:
+        if row == full:
+            break
+        common &= row
+    else:
+        if not common:
+            cotree = _cotree(rows, s)
+            return cotree.bit_count(), _admissible_basis(rows, s, cotree) if cotree else []
+    isolated = rows.count(0) + s - reduce(or_, rows).bit_count()
+    return mask.bit_count() - (r + s) + 1 + isolated, []
+
+
+def _scan(
+    r: int, s: int, masks: Iterable[tuple[int, int]]
+) -> tuple[SearchStats, list[tuple[int, list[int], bool]]]:
+    """Count the classes on every (mask, weight) of ``masks``, and list
+    (mask, basis, skip_eig) for every graph with an admissible class, in
+    scan order; the nonzero span of ``basis`` is the set of its admissible
+    negative-slot masks (see ``_classes``).
+
+    Each counter of a graph is multiplied by its weight, the number of
+    labelled graphs it stands for.  ``graphs_skipped`` is left to the
+    caller, which alone sees the whole cube.  ``skip_eig`` holds when the
+    graph's m edges are fewer than beta, the larger root of x^2 - c x + d:
+    then no class on it reaches the bound.
+    """
+    c, d = _coeffs(r, s)
     graphs = classes = c4_skipped = admissible = pruned = eigensolved = 0
-    shifts = range(0, r * s, s)
+    found_on = []
     for mask, weight in masks:
         graphs += weight
-        common = full  # the columns every row holds
-        for x in shifts:
-            row = mask >> x & full
-            if row == full:
-                break
-            common &= row
-        if row == full or common:
-            # no admissible class, and every vertex that is not isolated
-            # is in one component
-            rows = _rows_of(mask, r, s)
-            isolated = rows.count(0) + s - reduce(or_, rows).bit_count()
-            k = mask.bit_count() - (r + s) + 1 + isolated
-            classes += weight << k
-            c4_skipped += weight * ((1 << k) - 1)
-            continue
-        cotree = _cotree(mask, r, s)
-        k = cotree.bit_count()
+        k, basis = _classes(mask, r, s)
         classes += weight << k
-        if k == 0:
-            continue
-        basis = _admissible_basis(mask, r, s, cotree)
         found = (1 << len(basis)) - 1
         c4_skipped += weight * ((1 << k) - 1 - found)
         if not found:
@@ -517,7 +501,7 @@ def _scan(
             pruned += weight * found
         else:
             eigensolved += weight * found
-        on_graph(mask, basis, skip_eig)
+        found_on.append((mask, basis, skip_eig))
     # every graph has exactly one balanced class, the empty mask
     return SearchStats(
         graphs=graphs,
@@ -527,14 +511,15 @@ def _scan(
         admissible=admissible,
         pruned=pruned,
         eigensolved=eigensolved,
-    )
+    ), found_on
 
 
 def enumerate_admissible(
-    space: SearchSpace, visitor: Callable[[AdmissibleClass], None]
+    space: SearchSpace, visitor: Callable[[tuple[int, int]], None]
 ) -> SearchStats:
     """Visit every admissible (underlying graph, switching class) pair once,
-    in (edge mask, negative mask) order, over all 2^(r*s) labelled masks.
+    as its (edge mask, negative mask), in that order, over all 2^(r*s)
+    labelled masks.
 
     A class is given by the representative that is all-positive on the
     search's spanning forest (see ``_cotree``), not by its
@@ -547,12 +532,10 @@ def enumerate_admissible(
         raise BudgetExceededError(
             f"r*s = {r * s} exceeds the cube budget {CUBE_BUDGET_RS}"
         )
-
-    def on_graph(mask, basis, skip_eig):
+    stats, found_on = _scan(r, s, ((mask, 1) for mask in range(1 << (r * s))))
+    for mask, basis, _ in found_on:
         for neg in sorted(_span(basis))[1:]:
-            visitor(AdmissibleClass(r, s, mask, neg))
-
-    stats = _scan(space, ((mask, 1) for mask in range(1 << (r * s))), on_graph)
+            visitor((mask, neg))
     return replace(stats, graphs_skipped=(1 << (r * s)) - stats.graphs)
 
 
@@ -561,14 +544,11 @@ def _search_chunk(args) -> tuple[SearchStats, list[tuple[int, int]]]:
     counters and the (mask, negative mask) of every class the prune
     keeps, in scan order."""
     space, k = args
-    kept: list[tuple[int, int]] = []
-
-    def on_graph(mask, basis, skip_eig):
-        if not skip_eig:
-            kept.extend((mask, neg) for neg in _span(basis)[1:])
-
-    stats = _scan(space, _minimal_masks(space.r, space.s, k), on_graph)
-    return stats, kept
+    stats, found_on = _scan(space.r, space.s, _minimal_masks(space.r, space.s, k))
+    return stats, [
+        (mask, neg) for mask, basis, skip_eig in found_on if not skip_eig
+        for neg in _span(basis)[1:]
+    ]
 
 
 @dataclass(frozen=True)
@@ -751,7 +731,7 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
         for rho, (mask, neg) in zip(rhos, kept):
             if rho < best - WINDOW:
                 continue
-            nf = forest_normalize(AdmissibleClass(r, s, mask, neg).signed_graph())
+            nf = forest_normalize(_signed_graph(r, s, mask, neg))
             bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
             normal.append((mask, bits, nf.graph))
         normal.sort(key=lambda c: c[:2])
@@ -921,9 +901,9 @@ def spot_check_random(
 
     Per trial an underlying graph is drawn edge-wise fair; the class, a
     negative-slot mask inside the co-tree, is drawn uniformly from the
-    solution space of the all-4-cycles-positive parity system, excluding
-    the balanced class.  Graphs whose solution space is trivial are
-    resampled (counted).
+    nonzero span of its ``_classes`` basis, the admissible classes the
+    exhaustive scans count.  Graphs with no admissible class, those with
+    a full row or a full column among them, are resampled (counted).
     """
     check_sizes(r, s)
     if trials < 0:
@@ -938,16 +918,12 @@ def spot_check_random(
     for done in range(1, trials + 1):
         while True:
             mask = rng.getrandbits(rs)
-            basis = _admissible_basis(mask, r, s, _cotree(mask, r, s))
+            _, basis = _classes(mask, r, s)
             if basis:
                 break
             resampled += 1
-        coeff = rng.randrange(1, 1 << len(basis))
-        neg = 0
-        for i, b in enumerate(basis):
-            if coeff >> i & 1:
-                neg ^= b
-        g = AdmissibleClass(r, s, mask, neg).signed_graph()
+        neg = _span(basis)[rng.randrange(1, 1 << len(basis))]
+        g = _signed_graph(r, s, mask, neg)
         if is_balanced(g) or has_negative_c4(g) is not None:
             raise SgraphError(f"sampled class ({mask}, {neg}) is not admissible")
         pending.append((mask, neg))
@@ -956,13 +932,4 @@ def spot_check_random(
             violations += int(np.count_nonzero(rhos > bound + BOUND_TOL))
             max_observed = max(max_observed, float(rhos.max()))
             pending.clear()
-    return SpotCheckReport(
-        r,
-        s,
-        trials,
-        seed,
-        violations,
-        resampled,
-        max_observed,
-        bound,
-    )
+    return SpotCheckReport(r, s, trials, seed, violations, resampled, max_observed, bound)

@@ -166,6 +166,20 @@ class TestCheck:
         assert doc["bipartite"] is False and doc["sides"] is None
         assert doc["odd_cycle"] == {"vertices": [0, 1, 2], "sign": -1, "length": 3}
 
+    def test_large_sparse_file(self, capsys, tmp_path):
+        # 100,000 vertices, all but four isolated: only vertices with two
+        # neighbours or more are paired in the negative-4-cycle test, so
+        # the 5e9 pairs of isolated vertices are never looked at
+        n = 100_000
+        a, b, c, d = range(n - 4, n)
+        path = tmp_path / "sparse.sg"
+        path.write_text(f"sg {n} 4\n{a} {b} +1\n{b} {c} +1\n{c} {d} +1\n{d} {a} -1\n")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["sides"] == [2, n - 2] and doc["balanced"] is False
+        assert doc["neg_c4"] == {"vertices": [a, b, c, d], "sign": -1, "length": 4}
+
 
 class TestNoVertices:
     """A graph with no vertices is valid input for every reading command."""

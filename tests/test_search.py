@@ -14,6 +14,7 @@ import pytest
 
 from sgraph import (
     SignedGraph,
+    canonical_key,
     forest_normalize,
     has_negative_c4,
     is_balanced,
@@ -29,11 +30,12 @@ from sgraph.extremal import bound_fixed_sizes, check_sizes, extremal_graph
 from sgraph import search
 from sgraph.search import (
     CONFIRMED,
-    AdmissibleClass,
     SearchSpace,
+    _classes,
     _cotree,
     _gf2_nullspace_basis,
     _minimal_masks,
+    _signed_graph,
     _span,
     _spectral_radii,
     certificate_csv_row,
@@ -103,7 +105,7 @@ class TestEnumeration:
         seen = []
 
         def visitor(ac):
-            g = ac.signed_graph()
+            g = _signed_graph(3, 3, *ac)
             assert not is_balanced(g)
             assert has_negative_c4(g) is None
             seen.append(g)
@@ -113,8 +115,8 @@ class TestEnumeration:
 
     def test_all_positive_never_visited(self):
         def visitor(ac):
-            assert ac.negative_mask != 0
-            assert any(s == -1 for *_, s in ac.signed_graph().edges)
+            assert ac[1] != 0
+            assert any(s == -1 for *_, s in _signed_graph(3, 3, *ac).edges)
 
         enumerate_admissible(SearchSpace(3, 3), visitor)
 
@@ -160,25 +162,25 @@ class TestEnumeration:
         of forest does not show."""
         by_mask: dict[int, list] = {}
         enumerate_admissible(
-            SearchSpace(3, 3), lambda ac: by_mask.setdefault(ac.edge_mask, []).append(ac)
+            SearchSpace(3, 3), lambda ac: by_mask.setdefault(ac[0], []).append(ac)
         )
         slots = [(a, 3 + b) for a in range(3) for b in range(3)]
         for mask in range(1 << 9):
             visited = by_mask.get(mask, [])
-            cotree = _cotree(mask, 3, 3)
+            cotree = _cotree(search._rows_of(mask, 3, 3), 3)
             want = [
                 neg
                 for neg in sorted(_span([1 << i for i in range(9) if cotree >> i & 1]))[1:]
-                if has_negative_c4(AdmissibleClass(3, 3, mask, neg).signed_graph()) is None
+                if has_negative_c4(_signed_graph(3, 3, mask, neg)) is None
             ]
-            assert [ac.negative_mask for ac in visited] == want
+            assert [ac[1] for ac in visited] == want
             edges = tuple((u, v, 1) for u, v in slots if mask >> (u * 3 + v - 3) & 1)
             reps = [
                 g
                 for g in switching_class_representatives(SignedGraph(6, edges))
                 if not is_balanced(g) and has_negative_c4(g) is None
             ]
-            normal = [forest_normalize(ac.signed_graph()).graph for ac in visited]
+            normal = [forest_normalize(_signed_graph(3, 3, *ac)).graph for ac in visited]
             assert len(set(normal)) == len(normal)
             assert set(normal) == set(reps)
 
@@ -192,7 +194,7 @@ class TestEnumeration:
         stats = enumerate_admissible(
             SearchSpace(r, s),
             lambda ac: below.append(
-                math.sqrt(ac.edge_mask.bit_count()) < rho0 - search.WINDOW
+                math.sqrt(ac[0].bit_count()) < rho0 - search.WINDOW
             ),
         )
         assert stats.pruned == sum(below) > 0
@@ -228,6 +230,42 @@ def brute_orbit_minima(r: int, s: int) -> list[int]:
 def all_minima(r: int, s: int) -> list[tuple[int, int]]:
     """The search's tasks' minima, first row 2^0 - 1 up to 2^s - 1."""
     return [m for k in range(s + 1) for m in _minimal_masks(r, s, k)]
+
+
+def columns_of(rows: list[int], s: int) -> list[int]:
+    """The r-bit neighbourhood of each right vertex."""
+    return [sum((row >> b & 1) << a for a, row in enumerate(rows)) for b in range(s)]
+
+
+def without_column(rows: list[int], b: int) -> list[int]:
+    """The rows with column b deleted: the columns above it move down."""
+    low = (1 << b) - 1
+    return [row & low | row >> 1 & ~low for row in rows]
+
+
+def admissible_dimension(rows: list[int], s: int) -> int:
+    return len(search._admissible_basis(rows, s, _cotree(rows, s)))
+
+
+def dominated(sets: list[int]) -> list[int]:
+    """The v whose set lies inside another one's; of two twins, both."""
+    return [
+        v for v, nv in enumerate(sets)
+        if any(nv & ~na == 0 for a, na in enumerate(sets) if a != v)
+    ]
+
+
+def fold(rows: list[int], s: int) -> tuple[list[int], int]:
+    """(rows, s) of the core: a dominated row or column, an isolated one
+    included, is deleted until none is left."""
+    while True:
+        if rows_left := dominated(rows):
+            a = rows_left[0]
+            rows = rows[:a] + rows[a + 1:]
+        elif cols_left := dominated(columns_of(rows, s)):
+            rows, s = without_column(rows, cols_left[0]), s - 1
+        else:
+            return rows, s
 
 
 @pytest.fixture
@@ -334,7 +372,7 @@ class TestOrbitMinima:
             floor = rho0 - search.WINDOW
             cube = enumerate_admissible(
                 space,
-                lambda ac: below.append(math.sqrt(ac.edge_mask.bit_count()) < floor),
+                lambda ac: below.append(math.sqrt(ac[0].bit_count()) < floor),
             )
         else:
             cube = enumerate_admissible(space, lambda ac: None)
@@ -355,50 +393,100 @@ class TestOrbitMinima:
         co-tree and the parity system: no basis vector, and 2^k classes
         with k the co-tree's size, all but the balanced one skipped."""
         full = (1 << s) - 1
-        space = SearchSpace(r, s, stretch=True)
-        dominated = 0
+        closed_form = 0
         for mask, _ in all_minima(r, s):
             rows = search._rows_of(mask, r, s)
             if full not in rows and not reduce(and_, rows):
                 continue
-            dominated += 1
-            cotree = _cotree(mask, r, s)
-            assert search._admissible_basis(mask, r, s, cotree) == []
-            stats = search._scan(space, [(mask, 1)], on_graph=None)  # never called
+            closed_form += 1
+            cotree = _cotree(rows, s)
+            assert search._admissible_basis(rows, s, cotree) == []
+            stats, found_on = search._scan(r, s, [(mask, 1)])
+            assert found_on == []
             assert stats.classes == 1 << cotree.bit_count()
             assert stats.c4_skipped == stats.classes - 1
             assert stats.admissible == 0
-        assert dominated
+        assert closed_form
 
     @pytest.mark.parametrize("r,s,cases", [(4, 5, 6229), (5, 5, 35208)])
     def test_deleting_a_dominated_vertex_keeps_the_admissible_dimension(self, r, s, cases):
         """The domination lemma: if N(v) is inside N(a) for another vertex a
         on v's side, G and G - v have admissible spaces of one dimension.
         Checked for every such v of every minimum, rows and columns."""
-        def dimension(rows, s):
-            mask = sum(row << a * s for a, row in enumerate(rows))
-            r = len(rows)
-            return len(search._admissible_basis(mask, r, s, _cotree(mask, r, s)))
-
-        def dominated(sets):
-            return [
-                v for v, nv in enumerate(sets)
-                if any(nv & ~na == 0 for a, na in enumerate(sets) if a != v)
-            ]
-
         seen = 0
         for mask, _ in all_minima(r, s):
             rows = search._rows_of(mask, r, s)
-            cols = [sum((row >> b & 1) << a for a, row in enumerate(rows)) for b in range(s)]
-            want = dimension(rows, s)
+            want = admissible_dimension(rows, s)
             for a in dominated(rows):
-                assert dimension(rows[:a] + rows[a + 1:], s) == want
+                assert admissible_dimension(rows[:a] + rows[a + 1:], s) == want
                 seen += 1
-            for b in dominated(cols):
-                low = (1 << b) - 1  # column b goes, the ones above move down
-                assert dimension([row & low | row >> 1 & ~low for row in rows], s - 1) == want
+            for b in dominated(columns_of(rows, s)):
+                assert admissible_dimension(without_column(rows, b), s - 1) == want
                 seen += 1
         assert seen == cases
+
+    # size: (minima with an admissible class, distinct cores, minima whose
+    # core is C6)
+    CORES = {
+        (3, 5): (9, 1, 9),
+        (4, 4): (22, 4, 19),
+        (4, 5): (110, 5, 96),
+        (4, 6): (439, 6, 382),
+        (5, 5): (911, 20, 767),
+    }
+
+    @pytest.mark.parametrize("r,s", list(CORES))
+    def test_core_table(self, r, s):
+        """Every minimum that carries an admissible class is folded to its
+        core, and the cores are counted up to isomorphism by the
+        canonical_key of the all-positive core.  Each core keeps its
+        graph's admissible dimension: the lemma applied to the whole fold."""
+        c6 = canonical_key(_signed_graph(3, 3, mask_of_rows([3, 5, 6], 3), 0))
+        keys = []
+        for mask, _ in all_minima(r, s):
+            _, basis = _classes(mask, r, s)
+            if not basis:
+                continue
+            rows, t = fold(search._rows_of(mask, r, s), s)
+            core = mask_of_rows(rows, t)
+            assert len(_classes(core, len(rows), t)[1]) == len(basis)
+            keys.append(canonical_key(_signed_graph(len(rows), t, core, 0)))
+        assert (len(keys), len(set(keys)), keys.count(c6)) == self.CORES[r, s]
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (4, 5), (6, 8), (8, 10)])
+    def test_classes_on_labelled_masks(self, r, s):
+        """_classes on arbitrary labelled masks, as the cube walk and the
+        sampler pass them, equals the co-tree's size and the parity
+        system's basis.  Rows and columns are blanked, then a full row or
+        a full column may be planted: a full row leaves the blank rows
+        isolated, and a full column the blank columns."""
+        rng = random.Random(r * 100 + s)
+        full = (1 << s) - 1
+        column = sum(1 << a * s for a in range(r))
+        isolated = {"row": 0, "column": 0}
+        for _ in range(1000):
+            density = rng.random()
+            mask = sum(1 << i for i in range(r * s) if rng.random() < density)
+            for a in range(r):
+                if rng.random() < 0.2:
+                    mask &= ~(full << a * s)
+            for b in range(s):
+                if rng.random() < 0.2:
+                    mask &= ~(column << b)
+            plant = rng.choice(["row", "column", None])
+            if plant == "row":
+                mask |= full << rng.randrange(r) * s
+            elif plant == "column":
+                mask |= column << rng.randrange(s)
+            rows = search._rows_of(mask, r, s)
+            cotree = _cotree(rows, s)
+            k, basis = _classes(mask, r, s)
+            assert (k, basis) == (cotree.bit_count(), search._admissible_basis(rows, s, cotree))
+            if plant:
+                assert basis == []
+                blank = 0 in (rows if plant == "row" else columns_of(rows, s))
+                isolated[plant] += blank
+        assert min(isolated.values()) > 150
 
     def test_identical_across_jobs_3_5(self):
         # at (4,5) three tasks keep classes, so their concatenation counts
@@ -432,7 +520,7 @@ class TestOrbitMinima:
         signed = []
         while len(signed) < 700:
             mask = rng.getrandbits(r * s)
-            basis = search._admissible_basis(mask, r, s, _cotree(mask, r, s))
+            _, basis = _classes(mask, r, s)
             if basis:
                 signed.append((mask, _span(basis)[rng.randrange(1, 1 << len(basis))]))
         whole = _spectral_radii(r, s, signed).tolist()
@@ -447,10 +535,10 @@ class TestOrbitMinima:
     def test_gram_radii_match_graph_spectrum(self):
         classes = []
         enumerate_admissible(SearchSpace(3, 4), classes.append)
-        rhos = _spectral_radii(3, 4, [(ac.edge_mask, ac.negative_mask) for ac in classes])
+        rhos = _spectral_radii(3, 4, classes)
         assert len(rhos) == len(classes) > 50
         for ac, rho in zip(classes, rhos):
-            assert abs(rho - graph_spectrum(ac.signed_graph()).rho) <= 1e-12
+            assert abs(rho - graph_spectrum(_signed_graph(3, 4, *ac)).rho) <= 1e-12
 
     def test_nullspace_basis_ignores_row_order_and_redundancy(self):
         rng = random.Random(5)
@@ -486,7 +574,7 @@ class TestOrbitMinima:
                     mask &= ~(column << b)
             blank_rows += 0 in search._rows_of(mask, r, s)
             blank_cols += any(not (mask >> b) & column for b in range(s))
-            assert _cotree(mask, r, s) == reference_cotree(mask, r, s)
+            assert _cotree(search._rows_of(mask, r, s), s) == reference_cotree(mask, r, s)
         assert blank_rows > 1000 and blank_cols > 1000
 
     @pytest.mark.parametrize("r,s", [(3, 3), (3, 4), (3, 5)])
