@@ -143,15 +143,17 @@ class CycleWitness:
         return cls(_canonical_rotation(tuple(seq)), sign)
 
     def is_chordless(self, g: SignedGraph) -> bool:
-        """True when no non-consecutive pair on the cycle is adjacent."""
+        """True when no non-consecutive pair on the cycle is adjacent: every
+        neighbour a cycle vertex has on the cycle sits one position before
+        or after it.  One pass over the cycle vertices' adjacency lists."""
         t = len(self.vertices)
-        for i in range(t):
-            for j in range(i + 2, t):
-                if i == 0 and j == t - 1:
-                    continue
-                if g.has_edge(self.vertices[i], self.vertices[j]):
-                    return False
-        return True
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        return all(
+            (pos[w] - i) % t in (1, t - 1)
+            for i, v in enumerate(self.vertices)
+            for w, _ in g.adjacency[v]
+            if w in pos
+        )
 
 
 @dataclass(frozen=True)
@@ -291,21 +293,17 @@ def underlying_positive(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, tuple((u, v, 1) for u, v, _ in g.edges))
 
 
-def is_balanced(g: SignedGraph) -> bool:
-    """True iff every cycle has positive sign.
+def _frustrated(g: SignedGraph, theta: list[int]):
+    """The edges uv with theta[u]*sign(uv)*theta[v] = -1, theta the BFS
+    forest's path signs: each closes a negative cycle with the forest.
+    Forest edges never do, so a component is balanced iff it has none."""
+    return (e for e in g.edges if theta[e[0]] * e[2] * theta[e[1]] == -1)
 
-    Uses forest sign-labeling: with theta the forest-path sign product,
-    the graph is balanced iff theta[u]*sign(uv)*theta[v] = +1 for every
-    non-forest edge.
-    """
-    _, _, theta, _, forest = _bfs_forest(g)
-    forest_set = set(forest)
-    for u, v, s in g.edges:
-        if (u, v) in forest_set:
-            continue
-        if theta[u] * s * theta[v] == -1:
-            return False
-    return True
+
+def is_balanced(g: SignedGraph) -> bool:
+    """True iff every cycle has positive sign: no edge is ``_frustrated``."""
+    _, _, theta, _, _ = _bfs_forest(g)
+    return not any(_frustrated(g, theta))
 
 
 def forest_normalize(g: SignedGraph) -> SwitchCanonicalForm:
@@ -339,13 +337,19 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
     over all v is a simple cycle: a repeated vertex would split it into
     two shorter closed walks, one of them negative, which the search from
     that walk's vertex would have found.  A chord would split it the same
-    way, so the cycle is also chordless.
+    way, so the cycle is also chordless.  Only vertices of unbalanced
+    components (those with a ``_frustrated`` edge) start a search: a
+    balanced component has no negative closed walk, so on a balanced
+    graph the cost is one BFS forest.
     """
-    n = g.n
     adj = g.adjacency
+    _, _, theta, comp, _ = _bfs_forest(g)
+    unbalanced = {comp[u] for u, _, _ in _frustrated(g, theta)}
     best_len: int | None = None
     best_walk: list[int] | None = None
-    for v0 in range(n):
+    for v0 in range(g.n):
+        if comp[v0] not in unbalanced:
+            continue
         # BFS in the double cover from (v0, 0); node id = 2*v + sheet
         dist = {2 * v0: 0}
         par: dict[int, int] = {}
@@ -392,33 +396,28 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
 def has_negative_c4(g: SignedGraph) -> CycleWitness | None:
     """A negative 4-cycle, or None.
 
-    Each vertex has a bitmask of its neighbours and one of its negative
-    neighbours.  For a pair u < w, ``common`` holds their common
-    neighbours and ``minus`` those x with sign(ux)*sign(xw) = -1, the x
-    where exactly one of the two edges is negative.  A negative 4-cycle
-    through u and w exists iff ``minus`` is neither empty nor all of
-    ``common``; the first pair in order gives (u, lowest plus, w, lowest
-    minus).  A vertex on a 4-cycle has two neighbours on it, so only such
-    vertices are paired.
+    For each u in ascending order, every two-step walk u-x-w with w > u
+    files w under ``plus`` or ``minus`` by the sign of sign(ux)*sign(xw),
+    keeping the lowest x (adjacency lists are sorted).  A negative 4-cycle
+    through u and w exists iff w is under both; the smallest such w gives
+    (u, lowest plus, w, lowest minus), the first such pair u < w in order.
+    The work is the number of two-step walks from vertices with two
+    neighbours or more, the only ones a 4-cycle can pass through.
     """
-    nbrs = [0] * g.n
-    negs = [0] * g.n
-    for u, v, s in g.edges:
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
-        if s < 0:
-            negs[u] |= 1 << v
-            negs[v] |= 1 << u
-    busy = [v for v in range(g.n) if nbrs[v] & (nbrs[v] - 1)]
-    for i, u in enumerate(busy):
-        nbr_u, neg_u = nbrs[u], negs[u]
-        for w in busy[i + 1:]:
-            common = nbr_u & nbrs[w]
-            minus = common & (neg_u ^ negs[w])
-            if minus and minus != common:
-                plus = common ^ minus
-                x, y = ((b & -b).bit_length() - 1 for b in (plus, minus))
-                return CycleWitness.from_vertices(g, (u, x, w, y))
+    adj = g.adjacency
+    for u, nbrs in enumerate(adj):
+        if len(nbrs) < 2:
+            continue
+        plus: dict[int, int] = {}
+        minus: dict[int, int] = {}
+        for x, sx in nbrs:
+            for w, sw in adj[x]:
+                if w > u:
+                    (plus if sx == sw else minus).setdefault(w, x)
+        both = plus.keys() & minus.keys()
+        if both:
+            w = min(both)
+            return CycleWitness.from_vertices(g, (u, plus[w], w, minus[w]))
     return None
 
 

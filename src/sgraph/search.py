@@ -65,7 +65,7 @@ import math
 import multiprocessing
 import os
 import random
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import islice
 from operator import or_
@@ -478,8 +478,7 @@ def _scan(
     negative-slot masks (see ``_classes``).
 
     Each counter of a graph is multiplied by its weight, the number of
-    labelled graphs it stands for.  ``graphs_skipped`` is left to the
-    caller, which alone sees the whole cube.  ``skip_eig`` holds when the
+    labelled graphs it stands for.  ``skip_eig`` holds when the
     graph's m edges are fewer than beta, the larger root of x^2 - c x + d:
     then no class on it reaches the bound.
     """
@@ -536,7 +535,7 @@ def enumerate_admissible(
     for mask, basis, _ in found_on:
         for neg in sorted(_span(basis))[1:]:
             visitor((mask, neg))
-    return replace(stats, graphs_skipped=(1 << (r * s)) - stats.graphs)
+    return stats
 
 
 def _search_chunk(args) -> tuple[SearchStats, list[tuple[int, int]]]:
@@ -723,7 +722,12 @@ def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
         for part_stats, part_kept in islice(parts, s + 1):
             stats = stats.merge(part_stats)
             kept.extend(part_kept)
-        stats = replace(stats, graphs_skipped=(1 << (r * s)) - stats.graphs)
+        # the orbit weights must cover the cube exactly once
+        if stats.graphs != 1 << (r * s):
+            raise SgraphError(
+                f"the ({r},{s}) orbit minima stand for {stats.graphs} labelled "
+                f"graphs, not 2^{r * s}"
+            )
         rhos = _spectral_radii(r, s, kept).tolist() if kept else []
         best = max(rhos, default=-math.inf)
         # representatives and their order come from core.forest_normalize alone

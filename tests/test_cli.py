@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,34 @@ from sgraph.errors import (
     StructureCheckError,
 )
 from sgraph.extremal import bound_fixed_order, extremal_graph
+
+
+class Hung(BaseException):
+    """Raised by ``alarm``; not an Exception, so cli.main cannot turn it
+    into an exit code."""
+
+
+@contextmanager
+def alarm(seconds: int):
+    """Fail a block still running after ``seconds`` instead of letting it
+    hang."""
+
+    def hung(signum, frame):
+        raise Hung(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.fixture
+def deadline():
+    with alarm(60):
+        yield
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -180,6 +209,24 @@ class TestCheck:
         assert doc["sides"] == [2, n - 2] and doc["balanced"] is False
         assert doc["neg_c4"] == {"vertices": [a, b, c, d], "sign": -1, "length": 4}
 
+    @pytest.mark.parametrize("shape", ["path", "star"])
+    def test_100000_vertex_tree(self, capsys, tmp_path, shape):
+        # a tree has no cycle: the negative-4-cycle test walks two steps
+        # from each vertex of degree two or more, and no component asks for
+        # a negative-cycle search, so check stays near linear
+        n = 100_000
+        ends = [(i, i + 1) if shape == "path" else (0, i + 1) for i in range(n - 1)]
+        path = tmp_path / f"{shape}.sg"
+        path.write_text(
+            f"sg {n} {n - 1}\n"
+            + "".join(f"{u} {v} {'-1' if v % 3 else '+1'}\n" for u, v in ends)
+        )
+        with alarm(30):
+            code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["balanced"] is True and doc["neg_c4"] is None
+
 
 class TestNoVertices:
     """A graph with no vertices is valid input for every reading command."""
@@ -318,6 +365,28 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "sizes", "6", "7", "--stretch")
         assert code == 5
 
+    @pytest.mark.parametrize(
+        "argv", [("sizes", "3", "3", "--jobs", "0"), ("order", "8", "--jobs", "-1")]
+    )
+    def test_jobs_below_one_exit_4(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (4, "", "error: jobs must be >= 1\n")
+
+    def test_lost_orbit_exit_3(self, capsys, monkeypatch):
+        # a generator that loses one orbit minimum leaves the weights short
+        # of 2^(r*s): an internal failure, not a certificate
+        minimal = search._minimal_masks
+
+        def lossy(r, s, k):
+            masks = minimal(r, s, k)
+            return masks[1:] if k == 1 else masks
+
+        monkeypatch.setattr(search, "_minimal_masks", lossy)
+        code, out, err = run(capsys, "verify", "sizes", "3", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "not 2^9" in err
+
     def test_budget_refused_before_construction(self, capsys, monkeypatch):
         # r*s = 3 * 10^11 is refused before the construction on 3 + 10^11
         # vertices is built
@@ -449,23 +518,6 @@ class TestVerify:
         assert csv1 == csv2
 
 
-class Hung(BaseException):
-    """Raised by ``deadline``; not an Exception, so cli.main cannot turn
-    it into an exit code."""
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test still running after 60 s instead of letting it hang."""
-
-    def hung(signum, frame):
-        raise Hung("still running after 60 s")
-
-    old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.skipif(

@@ -234,8 +234,8 @@ class TestHasNegativeC4:
         assert has_negative_c4(g) is None
 
     def test_witness_matches_dict_scan_reference(self):
-        """The bitmask test returns the reference's witness, vertices and
-        sign, on general and bipartite graphs."""
+        """The two-step walk test returns the reference's witness, vertices
+        and sign, on general and bipartite graphs."""
         rng = random.Random(23)
         found = 0
         for i in range(3000):
@@ -474,3 +474,33 @@ class TestCycleWitness:
         w1 = CycleWitness.from_vertices(g, (3, 4, 5, 0, 1, 2))
         w2 = CycleWitness.from_vertices(g, (0, 5, 4, 3, 2, 1))
         assert w1.vertices == w2.vertices == (0, 1, 2, 3, 4, 5)
+
+    def test_chordless_matches_pairwise_definition(self):
+        """is_chordless agrees with the pairwise definition (no two
+        non-consecutive cycle vertices adjacent) on random cycles, with
+        and without chords, inside random graphs."""
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(2000):
+            n = rng.randint(3, 11)
+            cycle = rng.sample(range(n), rng.randint(3, n))
+            t = len(cycle)
+            ring = {frozenset((cycle[i], cycle[(i + 1) % t])) for i in range(t)}
+            p = rng.choice((0.0, 0.1, 0.4))
+            edges = [
+                (u, v, rng.choice((1, -1)))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if frozenset((u, v)) in ring or rng.random() < p
+            ]
+            g = SignedGraph.from_edge_list(n, edges)
+            w = CycleWitness.from_vertices(g, cycle)
+            pairwise = not any(
+                g.has_edge(w.vertices[i], w.vertices[j])
+                for i in range(t)
+                for j in range(i + 2, t)
+                if (i, j) != (0, t - 1)
+            )
+            assert w.is_chordless(g) == pairwise
+            seen.add(pairwise)
+        assert seen == {True, False}

@@ -859,6 +859,10 @@ class TestSpotCheck:
         report = spot_check_random(5, 5, trials=0, seed=1)
         assert report.violations == 0 and report.max_observed == 0.0
 
+    def test_negative_trials_refused(self):
+        with pytest.raises(BadParamsError):
+            spot_check_random(3, 3, -1)
+
     def test_determinism(self):
         a = spot_check_random(4, 4, trials=100, seed=3)
         b = spot_check_random(4, 4, trials=100, seed=3)
