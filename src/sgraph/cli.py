@@ -182,13 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="search on at most this many processes, the calling one included",
+        help="search on at most this many processes, the calling one included; "
+        f"a search of fewer than {search.MINIMA_PER_WORKER:,} orbit minima "
+        "stays in the calling process",
     )
     p.add_argument(
         "--stretch",
         action="store_true",
-        help=f"allow r*s up to {search.HARD_BUDGET_RS} "
-        f"(default limit {search.DEFAULT_EXHAUSTIVE_RS})",
+        help=f"allow searches of up to {search.STRETCH_BUDGET:,} orbit minima "
+        f"(default limit {search.DEFAULT_BUDGET:,}, the price of verify order 10)",
     )
     p.add_argument("--csv", action="store_true", help="statistics as CSV")
     p.set_defaults(func=_cmd_verify)

@@ -327,64 +327,76 @@ def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:
     return forest_normalize(g1).graph.edges == forest_normalize(g2).graph.edges
 
 
+def _negative_walk(adj, v0: int, cutoff: int | None) -> list[int] | None:
+    """A shortest negative closed walk through v0, as its vertices from v0
+    back to v0, or None when none is at most ``cutoff`` edges long (None:
+    any length).
+
+    A BFS of the signed double cover from (v0, 0) to (v0, 1): each vertex
+    v lifts to (v, 0) and (v, 1), and an edge uv links sheets ((u,e) to
+    (v,e)) when positive and crosses them when negative.
+    """
+    start = 2 * v0  # node id = 2*v + sheet
+    dist = {start: 0}
+    par: dict[int, int] = {}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        if cutoff is not None and dist[node] >= cutoff:
+            return None
+        u, sheet = node >> 1, node & 1
+        for w, s in adj[u]:
+            nxt = 2 * w + (sheet if s == 1 else 1 - sheet)
+            if nxt in dist:
+                continue
+            dist[nxt] = dist[node] + 1
+            par[nxt] = node
+            if nxt == start + 1:
+                walk = [nxt]
+                while walk[-1] != start:
+                    walk.append(par[walk[-1]])
+                return [x >> 1 for x in reversed(walk)]
+            queue.append(nxt)
+    return None
+
+
 def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
     """A minimum-length negative cycle, or None when the graph is balanced.
 
-    Searches the signed double cover: each vertex v lifts to (v, 0) and
-    (v, 1), and an edge uv links sheets ((u,e) to (v,e)) when positive and
-    crosses them when negative.  A shortest (v,0) -> (v,1) path projects
-    to a shortest negative closed walk through v.  The shortest such walk
-    over all v is a simple cycle: a repeated vertex would split it into
-    two shorter closed walks, one of them negative, which the search from
-    that walk's vertex would have found.  A chord would split it the same
-    way, so the cycle is also chordless.  Only vertices of unbalanced
-    components (those with a ``_frustrated`` edge) start a search: a
-    balanced component has no negative closed walk, so on a balanced
-    graph the cost is one BFS forest.
+    A shortest negative closed walk over all start vertices is a simple
+    cycle: a repeated vertex would split it into two shorter closed walks,
+    one of them negative.  A chord would split it the same way, so the
+    cycle is also chordless.  The witness is the walk ``_negative_walk``
+    finds from the smallest vertex on a cycle of the minimum length L.
+
+    Every negative cycle holds a ``_frustrated`` edge (the forest's path
+    signs cancel around it), so L is found by searching from one end of
+    each, each search cut off at the best length so far.  Then each vertex
+    below the smallest end that reaches L, in ascending order and in
+    unbalanced components only, is searched with cutoff L: the first to
+    reach L gives the witness, and if none does, that end's walk is it.
+    On a balanced graph the cost is one BFS forest.
     """
     adj = g.adjacency
     _, _, theta, comp, _ = _bfs_forest(g)
-    unbalanced = {comp[u] for u, _, _ in _frustrated(g, theta)}
-    best_len: int | None = None
-    best_walk: list[int] | None = None
-    for v0 in range(g.n):
-        if comp[v0] not in unbalanced:
-            continue
-        # BFS in the double cover from (v0, 0); node id = 2*v + sheet
-        dist = {2 * v0: 0}
-        par: dict[int, int] = {}
-        queue = deque([2 * v0])
-        target = 2 * v0 + 1
-        found = None
-        while queue:
-            node = queue.popleft()
-            if best_len is not None and dist[node] >= best_len:
-                break
-            u, sheet = node >> 1, node & 1
-            for w, s in adj[u]:
-                nxt = 2 * w + (sheet if s == 1 else 1 - sheet)
-                if nxt in dist:
-                    continue
-                dist[nxt] = dist[node] + 1
-                par[nxt] = node
-                if nxt == target:
-                    found = nxt
-                    queue.clear()
-                    break
-                queue.append(nxt)
-        if found is None:
-            continue
-        if best_len is None or dist[found] < best_len:
-            walk = [found]
-            while walk[-1] != 2 * v0:
-                walk.append(par[walk[-1]])
-            best_walk = [node >> 1 for node in reversed(walk)]
-            best_len = len(best_walk) - 1
-    if best_walk is None:
+    ends = sorted({u for u, _, _ in _frustrated(g, theta)})
+    shortest: list[int] | None = None
+    for u in ends:
+        walk = _negative_walk(adj, u, None if shortest is None else len(shortest) - 1)
+        if walk is not None and (shortest is None or len(walk) < len(shortest)):
+            shortest = walk
+    if shortest is None:
         return None
-    cycle = best_walk[:-1]
+    unbalanced = {comp[u] for u in ends}
+    for v0 in range(shortest[0]):
+        if comp[v0] in unbalanced:
+            walk = _negative_walk(adj, v0, len(shortest) - 1)
+            if walk is not None:
+                shortest = walk
+                break
+    cycle = shortest[:-1]
     if len(set(cycle)) != len(cycle):
-        raise SgraphError(f"shortest negative walk {best_walk} repeats a vertex")
+        raise SgraphError(f"shortest negative walk {shortest} repeats a vertex")
     witness = CycleWitness.from_vertices(g, cycle)
     if witness.sign != -1:
         raise SgraphError(f"cycle {witness.vertices} found as negative is positive")

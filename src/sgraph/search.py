@@ -49,10 +49,20 @@ class on it is solved, and the first one of each class in (mask,
 normal-form co-tree bits) order is the one a scan of the full cube would
 report.  The unit of work is the first row of a minimum, 2^k - 1 for
 k = 0..s: each of these s + 1 tasks generates and scans its own minima
-and returns its counters and the classes the prune keeps.  The tasks of
-every (r, s) one command searches, all the splits of an order included,
-run in the calling process or fan out together over it and its children,
-each process claiming the next task when it is free (see ``_fan_out``).
+and returns its counters and the classes the prune keeps.
+
+A command is priced before any task starts: its price is the number of
+minima its searches visit, Polya's count of the S_r x S_s orbits summed
+over every (r, s) it searches (see ``orbit_price``).  The price is held
+against the budget, and it decides whether the command forks: a command
+priced under ``MINIMA_PER_WORKER`` minima runs its tasks in the calling
+process, since a forked worker only pays for itself on a search about
+that large, and any other command uses up to ``--jobs`` processes, no
+more than the usable CPUs or its tasks.  A command left with one process
+runs its tasks in the calling process.  Otherwise the tasks of every
+(r, s) it searches, all the splits of an order included, fan out
+together over it and its children, each process claiming the next task
+when it is free (see ``_fan_out``).
 The parent concatenates each search's results in task order and solves
 its kept classes in one stack; numpy's radius for a class does not
 depend on the stack it is solved in, so the parallelism width never
@@ -65,6 +75,7 @@ import math
 import multiprocessing
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import islice
@@ -86,8 +97,20 @@ from .errors import BadParamsError, BudgetExceededError, SgraphError
 from .extremal import _coeffs, bound_fixed_order, bound_fixed_sizes, check_sizes, extremal_graph
 from .spectral import symmetric_eigenvalues
 
-DEFAULT_EXHAUSTIVE_RS = 25  # beyond this the stretch flag is required
-HARD_BUDGET_RS = 36
+# budgets in orbit minima, the prices of the largest orders each tier takes
+DEFAULT_BUDGET = 9_608  # verify order 10; beyond this the stretch flag is required
+STRETCH_BUDGET = 415_859  # verify order 12
+# A search priced under this many minima runs in the calling process.  One
+# against two workers, 25 interleaved pairs on 2 vCPUs, median wall ms (price):
+#   order 8 (507) 5.3 / 7.8; (4,5) (1,053) 10.4 / 10.7;
+#   (3,8) (1,324) 8.8 / 9.7; order 9 (1,439) 13.4 / 12.6;
+#   (4,6) (3,250) 30.6 / 22.7; (5,5) (5,624) 69.8 / 44.5;
+#   order 10 (9,608) 102.3 / 65.4.
+# Wall time breaks even near 1,400 minima, but the fork costs CPU time
+# too, so the second worker waits until it wins clearly.  Only one against
+# two was measured, so past this price --jobs alone sets the count, capped
+# by the CPUs and the tasks.
+MINIMA_PER_WORKER = 2_000
 CUBE_BUDGET_RS = 20  # enumerate_admissible walks all 2^(r*s) labelled masks
 WINDOW = 1e-9  # maximizer retention window around the observed max
 BOUND_TOL = 1e-8  # certificate tolerance against the closed-form bound
@@ -101,7 +124,8 @@ INCONCLUSIVE = "INCONCLUSIVE"
 @dataclass(frozen=True)
 class SearchSpace:
     """Enumeration parameters for one (r, s) class, refused when built if
-    they are bad or exceed the budget."""
+    they are bad.  The budget is held against the price of the command
+    that searches it (see ``_priced``)."""
 
     r: int
     s: int
@@ -112,16 +136,105 @@ class SearchSpace:
         check_sizes(self.r, self.s)
         if self.jobs < 1:
             raise BadParamsError("jobs must be >= 1")
-        rs = self.r * self.s
-        if rs > HARD_BUDGET_RS:
+
+
+def _cycle_types(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """(cycle lengths, permutations) for every cycle type of S_n: the type
+    with m_i cycles of length i has n! / prod(i^m_i * m_i!) permutations."""
+    out = []
+
+    def grow(left: int, largest: int, lengths: tuple[int, ...]) -> None:
+        if not left:
+            z = math.prod(i**m * math.factorial(m) for i, m in Counter(lengths).items())
+            out.append((lengths, math.factorial(n) // z))
+        for part in range(min(left, largest), 0, -1):
+            grow(left - part, part, lengths + (part,))
+
+    grow(n, n, ())
+    return out
+
+
+def orbit_price(r: int, s: int) -> int:
+    """The number of S_r x S_s orbits of r x s 0/1 matrices: the number of
+    minima ``_minimal_masks`` emits over k = 0..s, the price of an (r, s)
+    search.
+
+    A pair of permutations with cycle types lam and mu moves the cells in
+    gcd(a, b) cycles for each cycle a of lam and b of mu, so it fixes
+    2^(sum of those gcds) matrices; by Burnside's lemma the orbit count is
+    the average of that over S_r x S_s.  For each lam, the sum over the
+    column permutations is F[s], where F[n] sums, over the permutations of
+    n columns, the product of f(b) = 2^(sum of gcd(a, b) over a in lam)
+    over their cycles b.  The cycle through the last column has length b
+    and (n-1)!/(n-b)! choices of its other columns, so F[n] is the sum of
+    (n-1)!/(n-b)! * f(b) * F[n - b] over b = 1..n.  That is s^2 terms per
+    cycle type of S_r, so ``_priced`` tests the sizes with
+    ``_surely_over`` first.
+    """
+    total = 0
+    for lam, perms in _cycle_types(r):
+        f = [0] + [1 << sum(math.gcd(a, b) for a in lam) for b in range(1, s + 1)]
+        F = [1]
+        for n in range(1, s + 1):
+            F.append(sum(math.perm(n - 1, b - 1) * f[b] * F[n - b] for b in range(1, n + 1)))
+        total += perms * F[s]
+    return total // (math.factorial(r) * math.factorial(s))
+
+
+def _surely_over(r: int, s: int) -> bool:
+    """True when ``orbit_price(r, s)`` is surely above ``STRETCH_BUDGET``,
+    decided in a few steps whatever the sizes.
+
+    Rows past the q-th, q = min(r, 8), only add orbits (a zero row keeps
+    distinct orbits apart), and an orbit of q-row matrices holds at most
+    q! multisets of s columns drawn from 2^q values.  So the price is at
+    least C(s + v, v) / q!, v = 2^q - 1.  That binomial is built as a
+    product whose partial values at least double each step, so the test
+    stops after about log2(STRETCH_BUDGET * q!) steps.
+    """
+    q = min(r, 8)
+    v = (1 << q) - 1
+    over = STRETCH_BUDGET * math.factorial(q)
+    c = 1
+    for i in range(1, min(s, v) + 1):
+        c = c * (max(s, v) + i) // i  # C(max(s, v) + i, i), an integer
+        if c > over:
+            return True
+    return False
+
+
+def _priced(spaces: Iterable[SearchSpace]) -> tuple[list[SearchSpace], int]:
+    """The spaces of one command and its price, the sum of theirs;
+    ``BudgetExceededError`` when the price is over the budget, the stretch
+    budget when every space has the stretch flag.
+
+    A space priced surely over every budget is refused before the next
+    one is built, so a large order never builds its n/2 splits and
+    ``orbit_price`` only walks partitions of small sizes.
+    """
+    kept: list[SearchSpace] = []
+    price = 0
+    for space in spaces:
+        if _surely_over(space.r, space.s):
             raise BudgetExceededError(
-                f"r*s = {rs} exceeds the hard budget {HARD_BUDGET_RS}"
+                f"searching ({space.r},{space.s}) costs more than "
+                f"{STRETCH_BUDGET:,} orbit minima, the stretch budget"
             )
-        if rs > DEFAULT_EXHAUSTIVE_RS and not self.stretch:
-            raise BudgetExceededError(
-                f"r*s = {rs} needs the stretch flag (default budget "
-                f"{DEFAULT_EXHAUSTIVE_RS})"
-            )
+        price += orbit_price(space.r, space.s)
+        kept.append(space)
+    if all(space.stretch for space in kept):
+        limit, name = STRETCH_BUDGET, f"the stretch budget of {STRETCH_BUDGET:,}"
+    else:
+        limit, name = DEFAULT_BUDGET, (
+            f"the default budget of {DEFAULT_BUDGET:,} "
+            f"(the stretch flag allows {STRETCH_BUDGET:,})"
+        )
+    if price > limit:
+        sizes = ", ".join(f"({space.r},{space.s})" for space in kept)
+        raise BudgetExceededError(
+            f"searching {sizes} costs {price:,} orbit minima, more than {name}"
+        )
+    return kept, price
 
 
 @dataclass(frozen=True)
@@ -693,22 +806,28 @@ def _fan_out(work: list, workers: int) -> list:
     return [done[i] for i in range(len(work))]
 
 
-def _search_all(spaces: list[SearchSpace]) -> list[SearchResult]:
-    """Exhaustive maximum-spectral-radius searches of every space through
-    one fan-out.
+def _search_all(spaces: Iterable[SearchSpace]) -> list[SearchResult]:
+    """Exhaustive maximum-spectral-radius searches of every space of one
+    command through one fan-out.
 
-    The tasks of all spaces, space after space and k = 0..s within each,
-    go to one ``_fan_out``, or run in the calling process when one worker
-    is left.  Each space is then reduced from its own slice of the
-    results, in task order.
+    The command is priced, and refused over budget, before any task
+    starts (see ``_priced``).  The tasks of all spaces, space after space
+    and k = 0..s within each, go to one ``_fan_out``, or run in the
+    calling process when one worker is left.  Each space is then reduced
+    from its own slice of the results, in task order.
     """
+    spaces, price = _priced(spaces)
     work = [(space, k) for space in spaces for k in range(space.s + 1)]
     try:
         cpus = len(os.sched_getaffinity(0))  # the CPUs this process may use
     except AttributeError:  # a platform without affinity
         cpus = os.cpu_count() or 1
-    # more processes than usable CPUs or tasks only add start-up cost
-    workers = min(max(space.jobs for space in spaces), cpus, len(work))
+    # more processes than usable CPUs or tasks only add start-up cost, and
+    # so does any fork for a search priced under MINIMA_PER_WORKER minima
+    if price < MINIMA_PER_WORKER:
+        workers = 1
+    else:
+        workers = min(max(space.jobs for space in spaces), cpus, len(work))
     if workers == 1:
         parts = [_search_chunk(w) for w in work]
     else:
@@ -796,8 +915,8 @@ def verify_fixed_sizes(
     stretch: bool = False,
 ) -> Certificate:
     """Exhaustively check the fixed-sizes bound and maximizer uniqueness,
-    as ``_certify`` says.  The budget is checked before the construction
-    is built."""
+    as ``_certify`` says.  The price is held against the budget before
+    any task starts or the construction is built."""
     return _certify(run_search(SearchSpace(r, s, jobs=jobs, stretch=stretch)))
 
 
@@ -837,18 +956,20 @@ def verify_fixed_order(
     is attained only at the balanced split.
 
     The tasks of all splits fan out together over at most ``jobs``
-    processes, the calling one included; each split is then reduced and
+    processes, the calling one included, and no more than the order's
+    price pays for (see ``_search_all``); each split is then reduced and
     certified as ``verify_fixed_sizes`` would, so the certificate does not
     depend on ``jobs``.
     """
     if n < 6:
         raise BadParamsError(f"order verification needs n >= 6, got {n}")
-    # a split over budget is refused as it is built, before any search:
-    # from n = 16 on the first, (3, n - 3), so the list never grows with n
-    spaces = [
+    # the splits are priced as they are built, before any search, and one
+    # surely over every budget is refused before the next is built: from
+    # n = 27 on the first, (3, n - 3), so the splits built never grow with n
+    spaces = (
         SearchSpace(r, n - r, jobs=jobs, stretch=stretch)
         for r in range(3, n // 2 + 1)
-    ]
+    )
     certs = [_certify(result) for result in _search_all(spaces)]
     best = max(certs, key=lambda c: c.observed_max)
     bound = bound_fixed_order(n)

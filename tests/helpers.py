@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import Counter
+from collections import Counter, deque
 from itertools import combinations, permutations
 
 from sgraph import CycleWitness, SignedGraph, relabel, switch
@@ -250,6 +250,39 @@ def reference_has_negative_c4(g: SignedGraph) -> CycleWitness | None:
                 if plus is not None and minus is not None:
                     return CycleWitness.from_vertices(g, (u, plus, w, minus))
     return None
+
+
+def reference_shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
+    """A minimum-length negative cycle by a double-cover BFS from every
+    vertex in ascending order, each cut off at the best length so far: the
+    walk from the first vertex that reaches the minimum is the witness."""
+    adj = g.adjacency
+    best: list[int] | None = None
+    for v0 in range(g.n):
+        dist = {2 * v0: 0}
+        par: dict[int, int] = {}
+        queue = deque([2 * v0])
+        found = None
+        while queue and found is None:
+            node = queue.popleft()
+            if best is not None and dist[node] >= len(best) - 1:
+                break
+            u, sheet = node >> 1, node & 1
+            for w, s in adj[u]:
+                nxt = 2 * w + (sheet if s == 1 else 1 - sheet)
+                if nxt not in dist:
+                    dist[nxt] = dist[node] + 1
+                    par[nxt] = node
+                    if nxt == 2 * v0 + 1:
+                        found = nxt
+                        break
+                    queue.append(nxt)
+        if found is not None and (best is None or dist[found] < len(best) - 1):
+            walk = [found]
+            while walk[-1] != 2 * v0:
+                walk.append(par[walk[-1]])
+            best = [node >> 1 for node in reversed(walk)]
+    return None if best is None else CycleWitness.from_vertices(g, best[:-1])
 
 
 def reference_minimal_masks(r: int, s: int, k: int) -> list[tuple[int, int]]:

@@ -227,6 +227,23 @@ class TestCheck:
         doc = json.loads(out)
         assert doc["balanced"] is True and doc["neg_c4"] is None
 
+    def test_100000_vertex_cycle_one_negative_edge(self, capsys, tmp_path):
+        # the only negative cycle is the whole graph: one search from the
+        # end of its one frustrated edge finds its length and one from
+        # vertex 0 its witness, not one search per vertex
+        n = 100_000
+        path = tmp_path / "cycle.sg"
+        path.write_text(
+            f"sg {n} {n}\n"
+            + "".join(f"{i} {(i + 1) % n} {'-1' if i == n // 2 else '+1'}\n" for i in range(n))
+        )
+        with alarm(30):
+            code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["balanced"] is False and doc["girth_neg"] == n
+        assert doc["neg_cycle"]["vertices"][:3] == [0, 1, 2]
+
 
 class TestNoVertices:
     """A graph with no vertices is valid input for every reading command."""
@@ -359,11 +376,30 @@ class TestVerify:
         assert lines[1].startswith("1,3,3,")
 
     def test_budget_exit_5(self, capsys):
-        # r*s = 30 needs --stretch; r*s = 42 is past the hard budget
+        # (5,6) costs 28,576 orbit minima and needs --stretch; (6,7), at
+        # 2,141,733, is past the stretch budget
         code, _, err = run(capsys, "verify", "sizes", "5", "6")
         assert code == 5
+        assert "costs 28,576 orbit minima, more than the default budget of 9,608" in err
         code, _, err = run(capsys, "verify", "sizes", "6", "7", "--stretch")
         assert code == 5
+        assert "more than 415,859 orbit minima, the stretch budget" in err
+
+    def test_budget_by_price(self, capsys, monkeypatch):
+        # (3,9), 2,284 minima, needs no --stretch; (4,12), 787,586, and
+        # order 13 are refused with it, before any task starts
+        code, out, _ = run(capsys, "verify", "sizes", "3", "9")
+        assert code == 0 and json.loads(out)["verdict"] == "CONFIRMED"
+
+        def no_task(*args):
+            raise AssertionError("a task started")
+
+        monkeypatch.setattr(search, "_search_chunk", no_task)
+        monkeypatch.setattr(search, "_fan_out", no_task)
+        for argv in (("sizes", "4", "12"), ("order", "13")):
+            code, out, err = run(capsys, "verify", *argv, "--stretch")
+            assert (code, out) == (5, "")
+            assert err.startswith("error: searching (") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv", [("sizes", "3", "3", "--jobs", "0"), ("order", "8", "--jobs", "-1")]
@@ -388,19 +424,25 @@ class TestVerify:
         assert "not 2^9" in err
 
     def test_budget_refused_before_construction(self, capsys, monkeypatch):
-        # r*s = 3 * 10^11 is refused before the construction on 3 + 10^11
-        # vertices is built
+        # (3, 10^11) is refused at once, before its price's partitions of
+        # 10^11 are walked or the construction on 3 + 10^11 vertices is built
         def unbuildable(r, s):
             raise AssertionError(f"built the construction for ({r},{s})")
 
+        def unpriced(r, s):
+            raise AssertionError(f"walked the partitions for ({r},{s})")
+
         monkeypatch.setattr(search, "extremal_graph", unbuildable)
-        code, out, _ = run(capsys, "verify", "sizes", "3", str(10**11))
+        monkeypatch.setattr(search, "orbit_price", unpriced)
+        with alarm(30):
+            code, out, _ = run(capsys, "verify", "sizes", "3", str(10**11))
         assert code == 5 and out == ""
 
     @pytest.fixture
-    def failing_fan_out(self, monkeypatch):
-        """A stand-in fan-out that raises, on two usable CPUs, so that
-        --jobs 2 asks for it on any machine."""
+    def failing_fan_out(self, monkeypatch, cheap_workers):
+        """A stand-in fan-out that raises, on two usable CPUs and with
+        workers priced cheap, so that --jobs 2 asks for it on any machine
+        however small the search."""
 
         def fan_out(work, workers):
             raise RuntimeError("worker died")
@@ -492,7 +534,9 @@ class TestVerify:
         ],
         ids=["order_9_csv", "order_10_stretch"],
     )
-    def test_order_stdout_same_for_any_jobs(self, capsys, monkeypatch, argv, sha256):
+    def test_order_stdout_same_for_any_jobs(
+        self, capsys, monkeypatch, cheap_workers, argv, sha256
+    ):
         # a real fan-out over two processes: every split's tasks share it,
         # and stdout is the pinned bytes of the one-job run
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -530,7 +574,7 @@ class TestRealWorkers:
     exit 3 within seconds, one error line, and no child left running."""
 
     @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch, deadline):
+    def two_cpus(self, monkeypatch, deadline, cheap_workers):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @staticmethod
@@ -587,13 +631,15 @@ class TestRealWorkers:
 def test_spawned_workers_print_the_one_job_stdout(capsys):
     """Under the spawn start method (the default on macOS and Windows) the
     children import sgraph afresh and get their tasks pickled; stdout is
-    still the one-job bytes."""
+    still the one-job bytes.  Workers are priced cheap, as by the
+    ``cheap_workers`` fixture, so that order 8 fans out."""
     script = (
         "import multiprocessing, os, sys\n"
-        "from sgraph import cli\n"
+        "from sgraph import cli, search\n"
         "if __name__ == '__main__':\n"
         "    multiprocessing.set_start_method('spawn')\n"
         "    os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "    search.MINIMA_PER_WORKER = 1\n"
         "    sys.exit(cli.main(['verify', 'order', '8', '--jobs', '2']))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])

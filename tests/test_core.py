@@ -41,6 +41,7 @@ from helpers import (
     random_connected_signed_graph,
     random_signed_graph,
     reference_has_negative_c4,
+    reference_shortest_negative_cycle,
 )
 
 
@@ -216,6 +217,28 @@ class TestShortestNegativeCycle:
         assert w.vertices[0] == min(w.vertices)
         assert w.vertices[1] <= w.vertices[-1]
         assert w.is_chordless(neg_c6())
+
+    def test_witness_matches_search_from_every_vertex(self):
+        """The witness is the one a cut-off search from every vertex in
+        ascending order gives, on sparse and dense, connected and split,
+        general and bipartite graphs."""
+        rng = random.Random(29)
+        lengths = set()
+        for i in range(2000):
+            n = rng.randint(1, 16)
+            if i % 3 == 0:
+                g = random_signed_graph(rng, n, rng.uniform(0.05, 0.6))
+            elif i % 3 == 1:
+                g = random_connected_signed_graph(rng, n, rng.uniform(0.0, 0.2))
+            else:
+                r = rng.randint(1, 7)
+                g = random_bipartite_signed_graph(rng, r, rng.randint(r, 9), rng.uniform(0.1, 0.6))
+            w, ref = shortest_negative_cycle(g), reference_shortest_negative_cycle(g)
+            assert (w is None) == (ref is None)
+            if w is not None:
+                assert (w.vertices, w.sign) == (ref.vertices, ref.sign)
+                lengths.add(w.length)
+        assert lengths >= set(range(3, 9))
 
 
 class TestHasNegativeC4:

@@ -130,13 +130,36 @@ class TestEnumeration:
         assert len(admissible) == 1
 
     def test_budget_guards(self):
-        # r*s = 30 needs the stretch flag; the guard fires before the cube walk
+        # (5,6), 28,576 minima, needs the stretch flag, and its 2^30 masks
+        # are past the cube's limit; the guard fires before the cube walk
         with pytest.raises(BudgetExceededError):
             enumerate_admissible(SearchSpace(5, 6), lambda ac: None)
-        with pytest.raises(BudgetExceededError):
-            SearchSpace(6, 7, stretch=True)
-        SearchSpace(5, 5)
-        SearchSpace(6, 6, stretch=True)
+        with pytest.raises(BudgetExceededError, match=(
+            r"^searching \(5,6\) costs 28,576 orbit minima, more than the default "
+            r"budget of 9,608 \(the stretch flag allows 415,859\)$"
+        )):
+            run_search(SearchSpace(5, 6))
+        # (6,7), 2,141,733 minima, is past every budget
+        with pytest.raises(BudgetExceededError, match=(
+            r"^searching \(6,7\) costs more than 415,859 orbit minima, the stretch budget$"
+        )):
+            run_search(SearchSpace(6, 7, stretch=True))
+        # the limits are the prices of verify order 10 and order 12
+        assert search._priced([SearchSpace(5, 5)])[1] == 5624
+        assert search._priced([SearchSpace(6, 6, stretch=True)])[1] == 251_610
+
+        def order(n, stretch):
+            return [SearchSpace(r, n - r, stretch=stretch) for r in range(3, n // 2 + 1)]
+
+        assert search._priced(order(10, False))[1] == search.DEFAULT_BUDGET == 9608
+        assert search._priced(order(12, True))[1] == search.STRETCH_BUDGET == 415_859
+        # (3,12) and (4,7) fit the default budget, (4,11) the stretch one
+        assert search._priced([SearchSpace(3, 12)])[1] == 9473
+        assert search._priced([SearchSpace(4, 7)])[1] == 9343
+        assert search._priced([SearchSpace(4, 11, stretch=True)])[1] == 357_009
+        # the stretch budget needs the flag on every space of the command
+        with pytest.raises(BudgetExceededError, match="costs 28,612 orbit minima"):
+            search._priced([SearchSpace(5, 6, stretch=True), SearchSpace(3, 3)])
         # the labelled cube keeps its own limit: (5,5) would walk 2^25 masks
         with pytest.raises(BudgetExceededError):
             enumerate_admissible(SearchSpace(5, 5), lambda ac: None)
@@ -488,7 +511,7 @@ class TestOrbitMinima:
                 isolated[plant] += blank
         assert min(isolated.values()) > 150
 
-    def test_identical_across_jobs_3_5(self):
+    def test_identical_across_jobs_3_5(self, cheap_workers):
         # at (4,5) three tasks keep classes, so their concatenation counts
         for r, s in [(3, 5), (4, 5)]:
             runs = [run_search(SearchSpace(r, s, jobs=jobs)) for jobs in (1, 2, 3)]
@@ -498,7 +521,9 @@ class TestOrbitMinima:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("r,s,kept", [(3, 5, 8), (4, 5, 52)])
-    def test_one_solve_per_search(self, monkeypatch, in_process_fan_out, r, s, kept, jobs):
+    def test_one_solve_per_search(
+        self, monkeypatch, in_process_fan_out, cheap_workers, r, s, kept, jobs
+    ):
         """The workers solve nothing: run_search solves every class the
         prune keeps in one call."""
         calls = []
@@ -582,7 +607,7 @@ class TestOrbitMinima:
         for g in run_search(SearchSpace(r, s)).maximizers:
             assert forest_normalize(g).graph == g
 
-    def test_jobs_capped_at_cpu_count(self, monkeypatch, in_process_fan_out):
+    def test_jobs_capped_at_cpu_count(self, monkeypatch, in_process_fan_out, cheap_workers):
         """--jobs beyond the CPU count asks for no more processes than
         CPUs or tasks, and maps exactly the s + 1 first-row tasks that
         one job runs.  The fan-out is a stand-in that runs in-process, so
@@ -596,9 +621,10 @@ class TestOrbitMinima:
         assert mapped == [(space, k) for k in range(3 + 1)]
         assert wide == one
 
-    def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_fan_out):
+    def test_pool_of_one_runs_in_process(self, monkeypatch, in_process_fan_out, cheap_workers):
         """On one CPU, --jobs 2 leaves one worker, so the tasks run in the
-        calling process and no fan-out is asked for."""
+        calling process and no fan-out is asked for, however cheap a
+        worker is."""
         asked, mapped = in_process_fan_out
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         wide = run_search(SearchSpace(3, 4, jobs=2))
@@ -606,7 +632,7 @@ class TestOrbitMinima:
         assert asked == [] and mapped == []
         assert wide == one
 
-    def test_workers_capped_at_affinity(self, monkeypatch, in_process_fan_out):
+    def test_workers_capped_at_affinity(self, monkeypatch, in_process_fan_out, cheap_workers):
         """A process pinned to one of eight CPUs runs --jobs 2 in process:
         the CPUs it may use count, not the machine's."""
         asked, mapped = in_process_fan_out
@@ -615,6 +641,57 @@ class TestOrbitMinima:
         verify_fixed_order(8, jobs=2)
         run_search(SearchSpace(3, 4, jobs=2))
         assert asked == [] and mapped == []
+
+    def test_small_search_stays_in_process(self, monkeypatch, in_process_fan_out):
+        """Order 8 costs 507 minima, too few to pay for a second worker:
+        --jobs 2 on two CPUs forks nothing and gives the one-job
+        certificate."""
+        asked, mapped = in_process_fan_out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert search.orbit_price(3, 5) + search.orbit_price(4, 4) < search.MINIMA_PER_WORKER
+        wide = verify_fixed_order(8, jobs=2)
+        assert asked == [] and mapped == []
+        assert wide == verify_fixed_order(8, jobs=1)
+
+    def test_priced_search_fans_out(self, monkeypatch, in_process_fan_out):
+        """(4,6) costs 3,250 minima, enough for a second worker: --jobs 2
+        on two CPUs asks for two, and --jobs 10000 for no more."""
+        asked, mapped = in_process_fan_out
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert search.orbit_price(4, 6) > search.MINIMA_PER_WORKER
+        wide = run_search(SearchSpace(4, 6, jobs=2))
+        run_search(SearchSpace(4, 6, jobs=10_000))
+        assert asked == [2, 2]
+        assert wide == run_search(SearchSpace(4, 6))
+
+    @pytest.mark.parametrize("r,s", [(r, s) for r in (3, 4, 5) for s in range(r, 7)])
+    def test_price_counts_the_minima(self, r, s):
+        """The price equals the per-m Polya oracle's total and the number
+        of minima the generator emits."""
+        price = search.orbit_price(r, s)
+        assert price == sum(polya_orbit_counts(r, s))
+        assert price == sum(len(_minimal_masks(r, s, k)) for k in range(s + 1))
+
+    def test_price_6_6(self):
+        assert search.orbit_price(6, 6) == sum(polya_orbit_counts(6, 6)) == 251_610
+
+    def test_price_floor_is_a_lower_bound(self):
+        """Whatever _surely_over refuses is priced over the stretch
+        budget, the sizes at the tier edges are decided as the exact
+        price would be, and sizes far past them are refused at once."""
+        for r in range(3, 7):
+            for s in range(r, 19):
+                if search._surely_over(r, s):
+                    assert search.orbit_price(r, s) > search.STRETCH_BUDGET
+        for r, s in [(3, 23), (4, 11), (6, 6)]:
+            assert not search._surely_over(r, s)
+        for r, s in [(3, 24), (4, 12), (5, 8), (6, 7), (9, 9), (10**11, 10**11)]:
+            assert search._surely_over(r, s)
+        # the product runs at most 2^8 - 1 steps whatever the sizes, so a
+        # loop over s would show here as hours, not seconds
+        start = time.perf_counter()
+        assert search._surely_over(3, 10**11) and search._surely_over(200, 10**11)
+        assert time.perf_counter() - start < 5
 
 
 class TestVerifyFixedSizes:
@@ -682,8 +759,9 @@ class TestVerifyFixedOrder:
             verify_fixed_order(5)
 
     def test_budget_refused_before_any_split(self, monkeypatch):
-        # (3,8) fits the default budget and (5,6) does not: no split may
-        # run, whether through run_search, a task in process or a fan-out
+        # order 11's splits (3,8), (4,7) and (5,6) cost 39,243 minima, over
+        # the default budget: no split may run, whether through run_search,
+        # a task in process or a fan-out
         def unreachable(space):
             raise AssertionError(f"searched ({space.r},{space.s})")
 
@@ -696,15 +774,26 @@ class TestVerifyFixedOrder:
         monkeypatch.setattr(search, "run_search", unreachable)
         monkeypatch.setattr(search, "_search_chunk", no_task)
         monkeypatch.setattr(search, "_fan_out", no_fan_out)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="costs 39,243 orbit minima"):
             verify_fixed_order(11)
+        # and past every budget, with or without the stretch flag
+        for n, stretch in [(13, True), (10**11, False)]:
+            with pytest.raises(BudgetExceededError):
+                verify_fixed_order(n, stretch=stretch)
 
     def test_budget_names_first_split_over(self):
-        # order 12 splits (3,9), (4,8), (5,7), (6,6): the first is refused
-        with pytest.raises(BudgetExceededError, match=r"^r\*s = 27 needs the stretch flag"):
+        # order 12 splits (3,9), (4,8), (5,7), (6,6): the price of all four
+        # is named; order 13's (5,8) is surely over every budget on its own,
+        # so it is named and (6,7) is never built
+        with pytest.raises(BudgetExceededError, match=(
+            r"^searching \(3,9\), \(4,8\), \(5,7\), \(6,6\) costs 415,859 orbit minima, "
+            r"more than the default budget of 9,608"
+        )):
             verify_fixed_order(12)
+        with pytest.raises(BudgetExceededError, match=r"^searching \(5,8\) costs more than"):
+            verify_fixed_order(13, stretch=True)
 
-    def test_one_pool_per_order(self, monkeypatch, in_process_fan_out):
+    def test_one_pool_per_order(self, monkeypatch, in_process_fan_out, cheap_workers):
         """Every split's tasks go through one fan-out, split after split
         and k = 0..s within each, and the certificate is the one-job one."""
         asked, mapped = in_process_fan_out
@@ -744,7 +833,7 @@ class TestFanOut:
 class TestResultValues:
     """Search results are frozen values, stats included."""
 
-    def test_hash_equal_across_jobs(self, monkeypatch):
+    def test_hash_equal_across_jobs(self, monkeypatch, cheap_workers):
         """Stats that cross a pipe still make results equal, with equal
         hashes, to the one-job ones."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
