@@ -375,7 +375,10 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
     below the smallest end that reaches L, in ascending order and in
     unbalanced components only, is searched with cutoff L: the first to
     reach L gives the witness, and if none does, that end's walk is it.
-    On a balanced graph the cost is one BFS forest.
+    Vertices outside the 2-core, peeled off first in O(n + m), are not
+    searched: one at distance d from the core closes no negative walk
+    shorter than L + 2d, so the cutoff would reject it anyway.  On a
+    balanced graph the cost is one BFS forest.
     """
     adj = g.adjacency
     _, _, theta, comp, _ = _bfs_forest(g)
@@ -388,8 +391,15 @@ def shortest_negative_cycle(g: SignedGraph) -> CycleWitness | None:
     if shortest is None:
         return None
     unbalanced = {comp[u] for u in ends}
+    deg = [len(nbrs) for nbrs in adj]  # >= 2 exactly on the 2-core once peeled
+    peel = [v for v, d in enumerate(deg) if d < 2]
+    for v in peel:
+        for w, _ in adj[v]:
+            deg[w] -= 1
+            if deg[w] == 1:
+                peel.append(w)
     for v0 in range(shortest[0]):
-        if comp[v0] in unbalanced:
+        if comp[v0] in unbalanced and deg[v0] >= 2:
             walk = _negative_walk(adj, v0, len(shortest) - 1)
             if walk is not None:
                 shortest = walk

@@ -36,8 +36,8 @@ with no co-tree or parity system.  Spectral radii are sqrt(lambda_max(B
 B^T)) for the r x s signed biadjacency matrix B, solved by numpy in one
 stack per search.  A graph with m edges has rho^2 <= tr(B B^T) = m, so
 its classes skip the eigensolve when m is below beta, the square of the
-closed-form bound: an integer test on (r, s, m) that the search derives
-from (r, s) alone.
+closed-form bound; for integer m that is exactly m < r*s - r - s (see
+``_scan``).
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
@@ -94,7 +94,7 @@ from .core import (
     switching_isomorphic,
 )
 from .errors import BadParamsError, BudgetExceededError, SgraphError
-from .extremal import _coeffs, bound_fixed_order, bound_fixed_sizes, check_sizes, extremal_graph
+from .extremal import bound_fixed_order, bound_fixed_sizes, check_sizes, extremal_graph
 from .spectral import symmetric_eigenvalues
 
 # budgets in orbit minima, the prices of the largest orders each tier takes
@@ -591,38 +591,43 @@ def _scan(
     negative-slot masks (see ``_classes``).
 
     Each counter of a graph is multiplied by its weight, the number of
-    labelled graphs it stands for.  ``skip_eig`` holds when the
-    graph's m edges are fewer than beta, the larger root of x^2 - c x + d:
-    then no class on it reaches the bound.
+    labelled graphs it stands for.  Four sums are kept; the other counters
+    are identities of them: every graph has exactly one balanced class, the
+    empty mask, every other class is admissible or has a negative 4-cycle,
+    and every admissible class is pruned or solved.
+
+    ``skip_eig`` holds when the graph's m edges are fewer than beta, the
+    larger root of f(x) = x^2 - c x + d, c = r s - r - s + 3 and
+    d = (2r - 3)(2s - 3): then no class on it reaches the bound.  For
+    integer m that is exactly m < c - 3 = r s - r - s, because beta lies
+    in (c - 4, c - 3].  f(c - 3) = (r - 3)(s - 3) >= 0 and c - 3 >= c/2,
+    the parabola's vertex, so c - 3 >= beta.  f(c - 4) = 13 - 2r - 2s < 0
+    puts c - 4 between the roots, except at (3, 3), where
+    c - 4 = 2 < c/2 = 3 <= beta.
     """
-    c, d = _coeffs(r, s)
-    graphs = classes = c4_skipped = admissible = pruned = eigensolved = 0
+    floor = r * s - r - s
+    graphs = classes = admissible = pruned = 0
     found_on = []
     for mask, weight in masks:
         graphs += weight
         k, basis = _classes(mask, r, s)
         classes += weight << k
-        found = (1 << len(basis)) - 1
-        c4_skipped += weight * ((1 << k) - 1 - found)
-        if not found:
+        if not basis:
             continue
-        admissible += weight * found
-        m = mask.bit_count()
-        skip_eig = not (2 * m >= c and m * m - c * m + d >= 0)
+        found = weight * ((1 << len(basis)) - 1)
+        admissible += found
+        skip_eig = mask.bit_count() < floor
         if skip_eig:
-            pruned += weight * found
-        else:
-            eigensolved += weight * found
+            pruned += found
         found_on.append((mask, basis, skip_eig))
-    # every graph has exactly one balanced class, the empty mask
     return SearchStats(
         graphs=graphs,
         classes=classes,
         balanced_skipped=graphs,
-        c4_skipped=c4_skipped,
+        c4_skipped=classes - graphs - admissible,
         admissible=admissible,
         pruned=pruned,
-        eigensolved=eigensolved,
+        eigensolved=admissible - pruned,
     ), found_on
 
 

@@ -244,6 +244,24 @@ class TestCheck:
         assert doc["balanced"] is False and doc["girth_neg"] == n
         assert doc["neg_cycle"]["vertices"][:3] == [0, 1, 2]
 
+    def test_path_hung_off_a_long_negative_cycle(self, capsys, tmp_path):
+        # the path 0..p-1 joins the negative p-cycle p..2p-1 at p: its
+        # vertices lie outside the 2-core, so none of them is searched,
+        # although all are labelled below the cycle
+        p = 50_000
+        edges = [(i, i + 1, 1) for i in range(p)]
+        edges += [(p + i, p + (i + 1) % p, -1 if i == 0 else 1) for i in range(p)]
+        path = tmp_path / "pendant.sg"
+        path.write_text(
+            f"sg {2 * p} {2 * p}\n" + "".join(f"{u} {v} {s:+d}\n" for u, v, s in edges)
+        )
+        with alarm(30):
+            code, out, err = run(capsys, "check", str(path))
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["balanced"] is False and doc["girth_neg"] == p
+        assert doc["neg_cycle"]["vertices"][:3] == [p, p + 1, p + 2]
+
 
 class TestNoVertices:
     """A graph with no vertices is valid input for every reading command."""

@@ -82,6 +82,14 @@ class TestConstruction:
         with pytest.raises(VertexOutOfRangeError):
             SignedGraph.from_edge_list(2, [(0, 2, 1)])
 
+    def test_negative_vertex_count(self):
+        with pytest.raises(VertexOutOfRangeError, match="nonnegative"):
+            SignedGraph.from_edge_list(-1, [])
+
+    def test_relabel_needs_a_bijection(self):
+        with pytest.raises(VertexOutOfRangeError, match="bijection"):
+            relabel(neg_c6(), [0, 0, 2, 3, 4, 5])
+
     def test_edges_stored_sorted(self):
         g = SignedGraph.from_edge_list(3, [(2, 1, -1), (1, 0, 1)])
         assert g.edges == ((0, 1, 1), (1, 2, -1))
@@ -491,6 +499,13 @@ class TestCycleWitness:
         assert w.sign == -1
         with pytest.raises(ValueError):
             CycleWitness.from_vertices(g, (0, 1, 3))  # 1-3 is not an edge
+
+    def test_too_short_or_repeated(self):
+        g = neg_c6()
+        with pytest.raises(ValueError, match="at least 3"):
+            CycleWitness.from_vertices(g, (0, 1))
+        with pytest.raises(ValueError, match="distinct"):
+            CycleWitness.from_vertices(g, (0, 1, 0))
 
     def test_rotation_canonicalization(self):
         g = neg_c6()

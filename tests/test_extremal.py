@@ -5,7 +5,12 @@ import math
 import pytest
 
 from sgraph import (
+    SignedGraph,
+    VertexPartition,
+    adjacency_matrix,
     bipartition,
+    eigen_spectrum,
+    extremal,
     bound_fixed_order,
     bound_fixed_sizes,
     graph_spectrum,
@@ -18,7 +23,7 @@ from sgraph import (
     spectral_radius,
     verify_spectrum_structure,
 )
-from sgraph.errors import BadParamsError
+from sgraph.errors import BadParamsError, StructureCheckError
 from sgraph.extremal import (
     bound_report_order,
     bound_report_sizes,
@@ -184,6 +189,44 @@ class TestSpectrumStructure:
         for r in range(3, 9):
             for s in range(r, 9):
                 verify_spectrum_structure(r, s)
+
+    def test_nonzero_eigenvalues_clause(self, monkeypatch):
+        pair = nonzero_eigenvalue_pair
+        monkeypatch.setattr(
+            extremal, "nonzero_eigenvalue_pair", lambda r, s: (pair(r, s)[0] + 1, pair(r, s)[1])
+        )
+        with pytest.raises(StructureCheckError) as exc:
+            verify_spectrum_structure(3, 4)
+        assert exc.value.clause == "nonzero_eigenvalues"
+
+    def test_sum_of_squares_clause(self, monkeypatch):
+        # one edge listed twice: the matrix, hence the spectrum, is the
+        # construction's but the edge count is one more; graph_spectrum's
+        # own square-sum guard is bypassed so that this clause is reached
+        def doubled_edge(r, s):
+            g, sides = extremal_graph(r, s)
+            return SignedGraph(g.n, g.edges + g.edges[:1]), sides
+
+        monkeypatch.setattr(extremal, "extremal_graph", doubled_edge)
+        monkeypatch.setattr(extremal, "graph_spectrum", lambda g: eigen_spectrum(adjacency_matrix(g)))
+        with pytest.raises(StructureCheckError) as exc:
+            verify_spectrum_structure(3, 4)
+        assert exc.value.clause == "sum_of_squares"
+
+    def test_equitable_clause(self, monkeypatch):
+        # one block: equitable only if every signed row sum were equal
+        monkeypatch.setattr(
+            extremal, "six_block_partition", lambda r, s: VertexPartition.from_blocks([range(r + s)])
+        )
+        with pytest.raises(StructureCheckError) as exc:
+            verify_spectrum_structure(3, 4)
+        assert exc.value.clause == "equitable"
+
+    def test_quotient_contained_clause(self, monkeypatch):
+        monkeypatch.setattr(extremal, "quotient_spectrum_contained", lambda a, p: False)
+        with pytest.raises(StructureCheckError) as exc:
+            verify_spectrum_structure(3, 4)
+        assert exc.value.clause == "quotient_contained"
 
 
 class TestMonotonicity:

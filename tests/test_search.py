@@ -25,9 +25,9 @@ from sgraph import (
 )
 from sgraph.core import underlying_positive
 from sgraph.spectral import graph_spectrum
-from sgraph.errors import BadParamsError, BudgetExceededError
+from sgraph.errors import BadParamsError, BudgetExceededError, SgraphError
 from sgraph.extremal import bound_fixed_sizes, check_sizes, extremal_graph
-from sgraph import search
+from sgraph import extremal, search
 from sgraph.search import (
     CONFIRMED,
     SearchSpace,
@@ -222,6 +222,20 @@ class TestEnumeration:
         )
         assert stats.pruned == sum(below) > 0
         assert stats.eigensolved == len(below) - sum(below)
+
+    def test_edge_floor_is_the_quadratic_rule(self):
+        """The prune's floor r*s - r - s is the smallest m with 2m >= c and
+        m^2 - c m + d >= 0, (c, d) the coefficients of the construction's
+        quartic, i.e. the smallest integer m >= beta.  That set of m is
+        closed upwards (f increases from c/2 on), so it is enough that the
+        floor is in it and the integer below is not."""
+        for r in range(3, 400):
+            for s in range(r, 400):
+                c, d = extremal._coeffs(r, s)
+                floor = r * s - r - s
+                assert 2 * floor >= c and floor * floor - c * floor + d >= 0, (r, s)
+                below = floor - 1
+                assert not (2 * below >= c and below * below - c * below + d >= 0), (r, s)
 
 
 def move_columns(row: int, cols: tuple[int, ...]) -> int:
@@ -951,6 +965,12 @@ class TestSpotCheck:
     def test_negative_trials_refused(self):
         with pytest.raises(BadParamsError):
             spot_check_random(3, 3, -1)
+
+    def test_inadmissible_draw_raises(self, monkeypatch):
+        # a detector that sees a negative 4-cycle in every draw
+        monkeypatch.setattr(search, "has_negative_c4", lambda g: g)
+        with pytest.raises(SgraphError, match="not admissible"):
+            spot_check_random(3, 4, trials=1)
 
     def test_determinism(self):
         a = spot_check_random(4, 4, trials=100, seed=3)

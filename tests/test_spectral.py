@@ -1,6 +1,7 @@
 """Eigenvalue machinery against the exact characteristic-polynomial oracle,
 plus quotient matrices, Rayleigh quotients, and edge perturbations."""
 
+import dataclasses
 import math
 import random
 
@@ -9,6 +10,7 @@ import pytest
 
 from sgraph import (
     SignedGraph,
+    spectral,
     adjacency_matrix,
     eigen_spectrum,
     graph_spectrum,
@@ -108,6 +110,10 @@ class TestEigenSpectrum:
         with pytest.raises(ValueError):
             eigen_spectrum([[0, 1], [0, 0]])
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            eigen_spectrum(np.zeros((2, 3)))
+
     def test_json_fields(self):
         spec = graph_spectrum(neg_c6())
         doc = spec.to_json_dict()
@@ -132,6 +138,30 @@ class TestSolverContract:
             graph_spectrum(neg_c6())
         with pytest.raises(ConvergenceFailureError):
             quotient_spectrum_contained(adjacency_matrix(neg_c6()), VertexPartition.singletons(6))
+
+    def test_residual_guard(self, monkeypatch):
+        # every eigenvalue off by one: the principal pair no longer fits
+        eigh = np.linalg.eigh
+
+        def shifted(a):
+            values, vectors = eigh(a)
+            return values + 1.0, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ConvergenceFailureError, match="residual"):
+            graph_spectrum(neg_c6())
+
+    def test_square_sum_guard(self, monkeypatch):
+        # eigenvalues doubled: their squares sum to four times 2m
+        exact = spectral.eigen_spectrum
+
+        def doubled(a):
+            spec = exact(a)
+            return dataclasses.replace(spec, eigenvalues=tuple(2 * v for v in spec.eigenvalues))
+
+        monkeypatch.setattr(spectral, "eigen_spectrum", doubled)
+        with pytest.raises(ConvergenceFailureError, match="squares sum"):
+            graph_spectrum(neg_c6())
 
 
 class TestSpectralRadius:
@@ -179,6 +209,12 @@ class TestNonnegativeSwitching:
         assert switching_equivalent(h, g)
         assert min(spec.principal_vector) >= -1e-9
         assert abs(spec.lambda1 - math.sqrt(5)) < 1e-9
+
+    def test_residual_guard(self, monkeypatch):
+        # a switching that also negates: |x| then belongs to -lambda1
+        monkeypatch.setattr(spectral, "switch", lambda g, u_set: negate(switch(g, u_set)))
+        with pytest.raises(ConvergenceFailureError, match="switched"):
+            nonnegative_switching(neg_c6())
 
     def test_random_graphs(self):
         rng = random.Random(59)
@@ -232,6 +268,10 @@ class TestQuotient:
             VertexPartition.from_blocks([(0,), ()])
         with pytest.raises(ValueError):
             VertexPartition.from_blocks([(0,), (2,)])
+
+    def test_partition_must_cover_the_matrix(self):
+        with pytest.raises(ValueError, match="covers 5 vertices"):
+            quotient_matrix(adjacency_matrix(neg_c6()), VertexPartition.singletons(5))
 
 
 class TestRayleigh:
@@ -300,6 +340,12 @@ class TestPerturbCheck:
         with pytest.raises(ValueError):
             perturb_check(g, "sharpen-edge", 0, 1)
 
+    def test_ends_in_either_order(self):
+        g = neg_c6()
+        assert perturb_check(g, "flip-negative-edge", 1, 0) == perturb_check(
+            g, "flip-negative-edge", 0, 1
+        )
+
 
 class TestMatrixText:
     def test_dump_is_integers(self):
@@ -307,3 +353,7 @@ class TestMatrixText:
         lines = text.strip().splitlines()
         assert len(lines) == 6
         assert lines[0].split() == ["0", "-1", "0", "0", "0", "1"]
+
+    def test_non_integer_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            matrix_text([[0, 0.5], [0.5, 0]])
