@@ -466,15 +466,23 @@ def switching_class_representatives(g: SignedGraph) -> Iterator[SignedGraph]:
         yield SignedGraph(g.n, tuple(edges))
 
 
-def _degree_profiles(g: SignedGraph) -> list[tuple]:
-    """Switching-invariant vertex fingerprints: 2 rounds of color refinement."""
-    colors = [g.degree(v) for v in range(g.n)]
-    for _ in range(2):
-        colors = [
-            hash((colors[v], tuple(sorted(colors[w] for w, _ in g.adjacency[v]))))
-            for v in range(g.n)
-        ]
-    return colors
+def _degree_profiles(g: SignedGraph) -> list[int]:
+    """Switching-invariant vertex colours: colour refinement to the stable
+    partition.  Every vertex starts from its degree; each round gives it
+    the rank, among the round's distinct values, of (its colour, the sorted
+    colours of its neighbours), and rounds stop when the number of colours
+    stops growing.  The ranks depend only on the graph up to relabelling
+    and switching, so colours can be ordered and compared across graphs."""
+    adj = g.adjacency
+    colors = [len(a) for a in adj]
+    count = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w, _ in a))) for v, a in enumerate(adj)]
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            return colors
+        count = len(rank)
 
 
 def _is_twin(nbr: list[dict[int, int]], v: int, w: int) -> bool:
@@ -488,91 +496,152 @@ def _is_twin(nbr: list[dict[int, int]], v: int, w: int) -> bool:
     ) <= 1
 
 
-def _order_search(g: SignedGraph, prof: list, target=None, first: bool = False):
-    """Depth-first search over vertex orders of g, compared by their encoding.
+def _twin_classes(nbr: list[dict[int, int]]) -> list[list[int]]:
+    """The twin classes of ``_is_twin``, each in ascending order, listed by
+    their smallest vertex.  False twins share their open neighbourhood and
+    true twins their closed one, so v is tested only against the classes
+    filed under those two sets."""
+    classes: list[list[int]] = []
+    filed: dict[tuple[bool, frozenset], list[int]] = {}
+    for v, a in enumerate(nbr):
+        keys = ((False, frozenset(a)), (True, frozenset(a).union((v,))))
+        home = next((i for key in keys for i in filed.get(key, ())
+                     if _is_twin(nbr, v, classes[i][0])), None)
+        if home is None:
+            home = len(classes)
+            classes.append([])
+            for key in keys:
+                filed.setdefault(key, []).append(home)
+        classes[home].append(v)
+    return classes
 
-    Placing vertex v after the vertices already ordered encodes one row: the
-    adjacency bits to the earlier vertices, plus one sign bit per
-    cycle-closing back edge after normalizing the earliest-edge spanning
-    forest to all positive signs (tracked with a signed union-find).
-    Candidates are tried by profile, then by row, one per twin class: twins
-    are interchanged by an automorphism, so their subtrees have the same
-    encodings.  The twin classes are computed once per graph.
 
-    By default the search returns the lexicographically smallest encoding,
-    pruning every prefix above the best one found.  With ``first`` it stops
-    at the first, greedy leaf.  With ``target = (profiles, rows)`` it stops
-    at the first order whose i-th vertex has profile ``profiles[i]`` and
-    whose encoding is ``rows``, pruning every other prefix, and returns None
-    when there is none.  The result is (order, rows).
+Row = tuple[int, int, int]  # (adjacency bits, co-tree bit count, co-tree bits)
+
+
+def _order_search(g: SignedGraph, prof: list[int], target: list[Row] | None = None,
+                  first: bool = False) -> tuple[tuple[int, ...], list[Row]] | None:
+    """Depth-first search over the vertex orders of g that list ``prof`` in
+    ascending order, compared by their encoding.
+
+    Placing vertex v at depth d encodes one row: its adjacency to the d
+    vertices before it, as a d-bit integer with the first vertex highest,
+    and one sign bit per cycle-closing back edge, 1 for a negative cycle,
+    after normalizing the earliest-edge spanning forest to all positive
+    signs (tracked with a signed union-find).  Rows compare as tuples, so
+    encodings compare lexicographically.
+
+    At depth d the candidates are the unplaced vertices whose profile is
+    the d-th smallest, one per twin class (twins are interchanged by a
+    switching automorphism, so their subtrees have the same encodings),
+    ordered by row.  Profiles are invariant under relabelling and
+    switching, so these orders, and the smallest encoding among them, are
+    too.  Within a twin class vertices are placed in ascending order.
+
+    By default the search returns the smallest encoding: only the
+    candidates with the smallest row at a node can start it, and a prefix
+    above the best encoding found is pruned.  With ``first`` it stops at
+    the first, greedy leaf.  With ``target``, a list of rows, it stops at
+    the first order whose encoding is ``target``, pruning every other
+    prefix, and returns None when there is none.  The result is (order,
+    rows).  The search keeps its own stack, so n is not bounded by the
+    recursion limit.
     """
     n = g.n
     nbr = [dict(a) for a in g.adjacency]
-    # the smallest vertex of each vertex's twin class
-    twin = [next((w for w in range(v) if _is_twin(nbr, v, w)), v) for v in range(n)]
-    by_prof = sorted(range(n), key=lambda v: prof[v])
-    found = None
+    members = _twin_classes(nbr)
+    cells: dict[int, list[int]] = {}  # profile -> its twin classes
+    for c, vs in enumerate(members):
+        cells.setdefault(prof[vs[0]], []).append(c)
+    want = sorted(prof)
+    used = [0] * len(members)  # how many of each class are placed
+    pos = [-1] * n  # depth of each placed vertex
+    parent = list(range(n))
+    sgn = [1] * n
+    order: list[int] = []
+    placed: list[tuple[int, int, dict]] = []  # (v, class, roots joined) per depth
+    rows: list[Row] = []
 
-    def find(parent: list[int], sgn: list[int], x: int) -> tuple[int, int]:
+    def find(x: int) -> tuple[int, int]:
         s = 1
         while parent[x] != x:
             s *= sgn[x]
             x = parent[x]
         return x, s
 
-    def rows_for(perm: list[int], v: int, parent: list[int], sgn: list[int]) -> tuple:
-        """Encoding row for placing v; mutates the union-find copy."""
-        adj_row = tuple(1 if p in nbr[v] else 0 for p in perm)
-        bits = []
-        for p in perm:
-            sigma = nbr[v].get(p)
-            if sigma is None:
-                continue
-            rv, sv = find(parent, sgn, v)
-            rp, sp = find(parent, sgn, p)
-            if rv != rp:
-                # spanning-forest edge: gauge the merged tree so it is +1
-                parent[rp] = rv
-                sgn[rp] = sigma * sv * sp
+    def row_of(v: int) -> tuple[Row, dict[int, int]]:
+        """v's row if placed next, and the roots that its spanning-forest
+        edges join under v, each with its sign to v."""
+        d = len(order)
+        adj = k = cot = 0
+        joined: dict[int, int] = {}
+        for i in sorted(pos[p] for p in nbr[v] if pos[p] >= 0):
+            p = order[i]
+            adj |= 1 << (d - 1 - i)
+            root, s = find(p)
+            s *= nbr[v][p]
+            if root in joined:
+                cot = cot << 1 | (joined[root] != s)
+                k += 1
             else:
-                bits.append(0 if sv * sp * sigma == 1 else 1)
-        return (adj_row, tuple(bits))
+                joined[root] = s
+        return (adj, k, cot), joined
 
-    def search(perm: list[int], rows: list[tuple], parent: list[int], sgn: list[int]) -> bool:
-        """Extend perm; True once the search should stop."""
-        nonlocal found
-        depth = len(perm)
-        if depth == n:
-            if found is None or rows < found[1]:
-                found = (tuple(perm), list(rows))
-            return first or target is not None
-        kept: dict[int, int] = {}  # twin class -> its first remaining vertex
-        for v in by_prof:
-            if v not in perm and (target is None or prof[v] == target[0][depth]):
-                kept.setdefault(twin[v], v)
+    def candidates() -> list:
+        """The (row, v, class, joined) to try at the next depth, best last."""
+        d = len(order)
         scored = []
-        for v in kept.values():
-            par, sg = parent[:], sgn[:]
-            scored.append((rows_for(perm, v, par, sg), v, par, sg))
-        scored.sort(key=lambda t: t[0])
-        for row, v, par, sg in scored:
-            rows.append(row)
-            if target is not None:
-                pruned = row != target[1][depth]
-            else:
-                pruned = found is not None and rows > found[1][: depth + 1]
-            if pruned:
-                rows.pop()
-                continue
-            perm.append(v)
-            if search(perm, rows, par, sg):
-                return True  # the leaf is already copied into found
-            perm.pop()
-            rows.pop()
-        return False
+        for c in cells[want[d]]:
+            if used[c] < len(members[c]):
+                v = members[c][used[c]]
+                row, joined = row_of(v)
+                if target is None or row == target[d]:
+                    scored.append((row, v, c, joined))
+        if target is None:
+            low = min(t[0] for t in scored)
+            scored = [t for t in scored if t[0] == low]
+        return scored[::-1]
 
-    search([], [], list(range(n)), [1] * n)
-    return found
+    if n == 0:
+        return (), []
+    best: list[Row] | None = None
+    found: tuple[int, ...] = ()
+    below = False  # the current prefix is already below best's
+    stack = [candidates()]
+    while stack:
+        while len(placed) >= len(stack):  # undo this depth's last placement
+            v, c, joined = placed.pop()
+            order.pop()
+            rows.pop()
+            used[c] -= 1
+            pos[v] = -1
+            for root in joined:
+                parent[root], sgn[root] = root, 1
+        todo = stack[-1]
+        if not todo:
+            stack.pop()
+            continue
+        row, v, c, joined = todo.pop()
+        d = len(order)
+        if target is None and best is not None and not below:
+            if row > best[d]:
+                continue
+            below = row < best[d]
+        pos[v] = d
+        used[c] += 1
+        for root, s in joined.items():
+            parent[root], sgn[root] = v, s
+        order.append(v)
+        rows.append(row)
+        placed.append((v, c, joined))
+        if d + 1 < n:
+            stack.append(candidates())
+            continue
+        if target is not None or first:
+            return tuple(order), rows
+        if best is None or below:
+            best, found, below = list(rows), tuple(order), False
+    return None if target is not None else (found, best)
 
 
 def switching_isomorphism(
@@ -580,12 +649,14 @@ def switching_isomorphism(
 ) -> tuple[tuple[int, ...], frozenset[int]] | None:
     """A certificate (mapping, switch set) with switch(relabel(g1, mapping), U) == g2.
 
-    Takes g2's vertex order from the first leaf of the ordering search and
-    searches g1's orders for the same encoding.  Equal encodings mean equal
-    adjacency and equal co-tree signs on the same earliest-edge forest, so
-    mapping g1's order onto g2's is a switching isomorphism; the switch set
-    comes from normalizing both graphs' BFS forests.  Returns None when the
-    graphs are not switching isomorphic.  Meant for small n, like the key.
+    Returns None at once when the sizes or the sorted ``_degree_profiles``
+    differ.  Otherwise takes g2's vertex order from the first leaf of the
+    ordering search and searches g1's orders, which list the same profiles
+    in the same ascending order, for the same rows.  Equal encodings mean
+    equal adjacency and equal co-tree signs on the same earliest-edge
+    forest, so mapping g1's order onto g2's is a switching isomorphism;
+    the switch set comes from normalizing both graphs' BFS forests.
+    Returns None when the graphs are not switching isomorphic.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
@@ -594,7 +665,7 @@ def switching_isomorphism(
     if sorted(prof1) != sorted(prof2):
         return None
     order2, rows2 = _order_search(g2, prof2, first=True)
-    match = _order_search(g1, prof1, target=([prof2[v] for v in order2], rows2))
+    match = _order_search(g1, prof1, target=rows2)
     if match is None:
         return None
     mapping = tuple(v2 for _, v2 in sorted(zip(match[0], order2)))
@@ -610,16 +681,27 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return switching_isomorphism(g1, g2) is not None
 
 
-def canonical_key(g: SignedGraph):
-    """A total invariant of the switching-isomorphism class of g.
+def canonical_key(g: SignedGraph) -> bytes:
+    """A total invariant of the switching-isomorphism class of g, as bytes.
 
-    The smallest encoding over all vertex orders, from ``_order_search``.
-    The co-tree sign vector determines all cycle signs, hence the switching
-    class, so equal keys mean switching isomorphic.  Trying one candidate
-    per twin class, with the classes computed once per graph, keeps highly
-    symmetric graphs (empty, complete, complete bipartite) tractable;
-    general worst cases remain exponential, so this is meant for small n.
+    The smallest encoding over the profile-ordered vertex orders of
+    ``_order_search``, packed flat: n as 4 big-endian bytes, then one bit
+    string holding the adjacency bits of the order's rows (row d has d
+    bits, first vertex first), then their co-tree sign bits in row order,
+    zero-padded to whole bytes.  The adjacency bits fix the graph, hence
+    the number of sign bits, so the bytes determine the encoding.  The
+    co-tree sign vector determines all cycle signs, hence the switching
+    class, so equal keys mean switching isomorphic.  Beyond twins the
+    search prunes no automorphisms, so some graphs, such as many disjoint
+    copies of one graph, still cost exponential time.
     """
-    if g.n == 0:
-        return (0,)
-    return (g.n, tuple(_order_search(g, _degree_profiles(g))[1]))
+    adj = cot = width = 0
+    if g.n:
+        for d, (a, k, c) in enumerate(_order_search(g, _degree_profiles(g))[1]):
+            adj = adj << d | a
+            cot = cot << k | c
+            width += k
+    bits = g.n * (g.n - 1) // 2 + width
+    pad = -bits % 8
+    packed = (adj << width | cot) << pad
+    return g.n.to_bytes(4, "big") + packed.to_bytes((bits + pad) // 8, "big")

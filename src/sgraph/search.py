@@ -72,7 +72,6 @@ changes the output.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import random
 from collections import Counter
@@ -776,6 +775,8 @@ def _fan_out(work: list, workers: int) -> list:
     raises ``SgraphError``.  On any failure the children still running
     are terminated, and every child is joined before this returns.
     """
+    import multiprocessing  # only a fan-out needs it; importing it at load slows every start-up
+
     counter = multiprocessing.Value("i", 0)
     children = []
     try:

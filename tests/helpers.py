@@ -113,10 +113,12 @@ def brute_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     works iff the edge-wise product of the two signatures is balanced."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
+    pairs2 = set(g2.underlying_edges())
     for perm in permutations(range(g1.n)):
-        h = relabel(g1, perm)
-        if h.underlying_edges() != g2.underlying_edges():
+        if any((perm[u], perm[v]) not in pairs2 and (perm[v], perm[u]) not in pairs2
+               for u, v, _ in g1.edges):
             continue
+        h = relabel(g1, perm)
         product = tuple((u, v, s * t) for (u, v, s), (_, _, t) in zip(h.edges, g2.edges))
         if brute_is_balanced(SignedGraph(g2.n, product)):
             return True

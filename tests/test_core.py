@@ -24,7 +24,13 @@ from sgraph import (
     switching_isomorphic,
     switching_isomorphism,
 )
-from sgraph.core import _is_twin, component_count, underlying_positive
+from sgraph.core import (
+    _degree_profiles,
+    _is_twin,
+    _twin_classes,
+    component_count,
+    underlying_positive,
+)
 from sgraph.errors import (
     BadSignError,
     DuplicateEdgeError,
@@ -43,6 +49,20 @@ from helpers import (
     reference_has_negative_c4,
     reference_shortest_negative_cycle,
 )
+
+
+def relabelled_switched_copy(rng: random.Random, g: SignedGraph, flip: bool = False):
+    """g relabelled and switched at random; with ``flip``, also one edge
+    sign reversed (when g has an edge)."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    h = relabel(switch(g, {v for v in range(g.n) if rng.random() < 0.5}), perm)
+    if flip and h.m:
+        edges = list(h.edges)
+        k = rng.randrange(len(edges))
+        edges[k] = edges[k][:2] + (-edges[k][2],)
+        h = SignedGraph(g.n, tuple(edges))
+    return h
 
 
 def neg_c6() -> SignedGraph:
@@ -347,10 +367,7 @@ class TestSwitchingIsomorphic:
             for r, s in [(3, 5), (4, 4), (3, 6), (4, 5), (3, 7), (4, 6), (5, 5), (5, 6), (6, 6)]
         )
         for g in chain(randoms, constructions):
-            u_set = frozenset(v for v in range(g.n) if rng.random() < 0.5)
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            h = relabel(switch(g, u_set), perm)
+            h = relabelled_switched_copy(rng, g)
             cert = switching_isomorphism(g, h)
             assert cert is not None
             mapping, final_switch = cert
@@ -398,14 +415,7 @@ class TestSwitchingIsomorphic:
             if i % 3 == 0:
                 g2 = random_signed_graph(rng, n)
             else:
-                perm = list(range(n))
-                rng.shuffle(perm)
-                g2 = relabel(switch(g1, {v for v in range(n) if rng.random() < 0.5}), perm)
-                if i % 3 == 2 and g2.m:
-                    edges = list(g2.edges)
-                    k = rng.randrange(len(edges))
-                    edges[k] = edges[k][:2] + (-edges[k][2],)
-                    g2 = SignedGraph(n, tuple(edges))
+                g2 = relabelled_switched_copy(rng, g1, flip=i % 3 == 2)
             expected = brute_switching_isomorphic(g1, g2)
             assert switching_isomorphic(g1, g2) == expected
             assert (canonical_key(g1) == canonical_key(g2)) == expected
@@ -413,9 +423,69 @@ class TestSwitchingIsomorphic:
         # flipped copies land on both sides
         assert {(2, True), (2, False)} <= outcomes
 
+    def test_unsplit_profiles_agree_with_brute_force(self):
+        """Graphs whose profiles colour refinement cannot split (a signed
+        C8, K_{3,3}, K_{4,4} and the 3-cube, all vertex-transitive), so the
+        ordering search branches over every vertex: key equality and
+        switching_isomorphic agree with the relabelling oracle on
+        relabelled, switched copies, with and without one sign flipped."""
+        rng = random.Random(71)
+        shapes = (
+            [(i, (i + 1) % 8) for i in range(8)],
+            [(u, v) for u in range(3) for v in range(3, 6)],
+            [(u, v) for u in range(4) for v in range(4, 8)],
+            [(u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1],
+        )
+        outcomes = set()
+        for pairs in shapes:
+            n = max(map(max, pairs)) + 1
+            g = SignedGraph.from_edge_list(n, [(u, v, rng.choice((1, -1))) for u, v in pairs])
+            assert len(set(_degree_profiles(g))) == 1
+            for flip in (False, True):
+                h = relabelled_switched_copy(rng, g, flip)
+                expected = brute_switching_isomorphic(g, h)
+                assert switching_isomorphic(g, h) == expected
+                assert (canonical_key(g) == canonical_key(h)) == expected
+                outcomes.add((flip, expected))
+        assert {(False, True), (True, False)} <= outcomes
+
+    def test_refined_profiles_differ_without_search(self, monkeypatch):
+        """Two trees with the same degree sequence, a pendant vertex at the
+        second or the third vertex of a 5-path, differ in their refined
+        profiles, which ends the test before any ordering search."""
+        def searched(*args, **kwargs):
+            raise AssertionError("_order_search was called")
+
+        t1, t2 = (
+            SignedGraph.from_edge_list(6, [(i, i + 1, 1) for i in range(4)] + [(hub, 5, -1)])
+            for hub in (1, 2)
+        )
+        assert sorted(map(t1.degree, range(6))) == sorted(map(t2.degree, range(6)))
+        monkeypatch.setattr("sgraph.core._order_search", searched)
+        assert switching_isomorphism(t1, t2) is None
+
+    def test_large_star_within_recursion_limit(self):
+        """The ordering search keeps its own stack: a star with 1,501
+        leaves and mixed signs, far more vertices than Python's default
+        recursion limit, gets a key and is switching isomorphic to a
+        relabelled, switched copy of itself."""
+        rng = random.Random(73)
+        star = SignedGraph.from_edge_list(
+            1502, [(0, i, rng.choice((1, -1))) for i in range(1, 1502)]
+        )
+        h = relabelled_switched_copy(rng, star)
+        assert canonical_key(star) == canonical_key(h)
+        assert switching_isomorphic(star, h)
+
     def test_canonical_key_values_pinned(self):
         """Keys are compared across runs, so their values must not drift:
-        the sha256 of the keys of a seeded set of graphs with n <= 9."""
+        the flat bytes of two keys, and the sha256 of the keys of a seeded
+        set of graphs with n <= 9."""
+        # n as 4 bytes, the rows' adjacency bits (0, 00, 011, 1010, 11000:
+        # three independent vertices first), one co-tree bit (1: negative)
+        # and 0 padding
+        assert canonical_key(neg_c6()) == b"\x00\x00\x00\x06\x0e\xb1"
+        assert canonical_key(extremal_graph(3, 4)[0]) == b"\x00\x00\x00\x07\xc0\x0e\xb6"
         rng = random.Random(53)
         keys = []
         for i in range(80):
@@ -426,16 +496,13 @@ class TestSwitchingIsomorphic:
                 g = random_connected_signed_graph(rng, max(n, 1))
             keys.append(canonical_key(g))
         digest = hashlib.sha256(repr(keys).encode()).hexdigest()
-        assert digest == "320117aab0785eb79f745666cba1a55fda664e28902e116fafd6ec1def591859"
+        assert digest == "a4277c88ec03d45a208565e59e4f77917706ed369cecc0d01cf4771ca0fa1dcc"
 
     def test_canonical_key_invariant_under_relabel_switch(self):
         rng = random.Random(43)
         for _ in range(40):
             g = random_signed_graph(rng, rng.randint(1, 8))
-            u_set = frozenset(v for v in range(g.n) if rng.random() < 0.5)
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            assert canonical_key(g) == canonical_key(relabel(switch(g, u_set), perm))
+            assert canonical_key(g) == canonical_key(relabelled_switched_copy(rng, g))
 
 
 class TestTwins:
@@ -453,6 +520,13 @@ class TestTwins:
             nbr = [dict(a) for a in g.adjacency]
             twins = {
                 (v, w) for v in range(n) for w in range(n) if v != w and _is_twin(nbr, v, w)
+            }
+            # _twin_classes tests v only against the classes filed under
+            # its open and closed neighbourhoods, yet finds every class
+            classes = _twin_classes(nbr)
+            assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+            assert {tuple(c) for c in classes} == {
+                tuple(sorted({v} | {w for x, w in twins if x == v})) for v in range(n)
             }
             for v, w in twins:
                 assert (w, v) in twins

@@ -1,6 +1,9 @@
 """Checks over the package's own source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sgraph
@@ -42,3 +45,17 @@ def test_no_unused_imports():
                     if (name := alias.asname or alias.name.split(".")[0]) not in used
                 ]
     assert found == []
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    # only a fan-out over worker processes needs multiprocessing, so the
+    # start-up of every command would otherwise pay for its import
+    src = str(Path(sgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, sgraph.cli; print('multiprocessing' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "False\n"
