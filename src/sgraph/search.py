@@ -30,14 +30,16 @@ tested and placed at those nodes, never from the root.  A prefix's one
 completion by full rows is a minimum whenever the prefix is, so it is
 emitted with its weight in closed form (see ``_minimal_masks``).  The
 counters are isomorphism invariants, so the weighted totals equal those
-of the full 2^(r*s) cube.  A graph with a full row or a full column
-carries no admissible class, so its classes are counted in closed form,
-with no co-tree or parity system.  Spectral radii are sqrt(lambda_max(B
-B^T)) for the r x s signed biadjacency matrix B, solved by numpy in one
-stack per search.  A graph with m edges has rho^2 <= tr(B B^T) = m, so
-its classes skip the eigensolve when m is below beta, the square of the
-closed-form bound; for integer m that is exactly m < r*s - r - s (see
-``_scan``).
+of the full 2^(r*s) cube.  A graph whose rows are absorbed one by one,
+each through 4-cycles with the rows before it, carries no admissible
+class, so its classes are counted in closed form, with no co-tree or
+parity system (see ``_absorbed``); at every size up to (5,6) that is
+every minimum with no admissible class.  Spectral radii are
+sqrt(lambda_max(B B^T)) for the r x s signed biadjacency matrix B, solved
+by numpy in one stack per search.  A graph with m edges has
+rho^2 <= tr(B B^T) = m, so its classes skip the eigensolve when m is
+below beta, the square of the closed-form bound; for integer m that is
+exactly m < r*s - r - s (see ``_scan``).
 
 The exhaustive searches find the maximum spectral radius over admissible
 classes, group every class within a tolerance window of the maximum by
@@ -78,7 +80,7 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import islice
-from operator import or_
+from operator import or_, xor
 from typing import Callable, Iterable
 
 import numpy as np
@@ -260,11 +262,18 @@ class SearchStats:
 
 def _signed_graph(r: int, s: int, mask: int, neg: int) -> SignedGraph:
     """The signed graph of the class (mask, neg): its edges and its
-    negative edges as masks over the r*s slots."""
-    return SignedGraph(
-        r + s,
-        tuple((i // s, r + i % s, -1 if neg >> i & 1 else 1) for i in _bit_list(mask)),
-    )
+    negative edges as masks over the r*s slots.  The edges are listed in
+    slot order, taken row by row."""
+    full = (1 << s) - 1
+    edges = []
+    for a in range(r):
+        row = mask >> a * s & full
+        signs = neg >> a * s
+        while row:
+            low = row & -row
+            edges.append((a, r + low.bit_length() - 1, -1 if signs & low else 1))
+            row ^= low
+    return SignedGraph(r + s, tuple(edges))
 
 
 def _rows_of(mask: int, r: int, s: int) -> list[int]:
@@ -458,6 +467,68 @@ def _cotree(rows: list[int], s: int) -> int:
     return cotree
 
 
+def _absorbed(rows: list[int]) -> int | None:
+    """The number of components of the graph whose row a is ``rows[a]``,
+    its isolated vertices left out, when absorption shows that the graph
+    carries no admissible class; else None.
+
+    Absorption grows a set R of rows whose edges every class with all
+    4-cycles positive makes positive by a switching, with the columns of
+    R split into the components of R's edges.  The rows are taken in
+    turn, and again while a pass absorbs one, since a row refused early
+    may join once R has grown.  Row a joins R when, in every component it
+    meets, the columns T it shares with that component are linked through
+    R: two columns are linked when a row b of R holds both, so a single
+    column always is.  Switch so that R's edges are positive.  Each
+    4-cycle (a, c, b, c') with b in R then forces sigma(a, c) =
+    sigma(a, c'), so a's edges into one component have one sign.
+    Switching every component where that sign is negative keeps R's
+    edges positive and makes a's edges into them positive; switching each
+    column new to R, whose only edge in R + a is to a, makes the rest
+    positive.  The components a meets merge through a, and a row that
+    meets none starts one.  So when every non-empty row joins, every
+    class with all 4-cycles positive is balanced.
+    """
+    held: list[int] = []
+    groups: list[int] = []  # the column mask of each component of R
+    pending = rows
+    while True:
+        left = []
+        for row in pending:
+            if not row:
+                continue
+            merged = row
+            apart = []
+            for cols in groups:
+                t = row & cols
+                if not t:
+                    apart.append(cols)
+                    continue
+                reach = t & -t
+                while reach != t:
+                    grown = reach
+                    for b in held:
+                        if b & grown:
+                            grown |= b & t
+                    if grown == reach:
+                        break
+                    reach = grown
+                else:
+                    merged |= cols
+                    continue
+                left.append(row)
+                break
+            else:
+                held.append(row)
+                apart.append(merged)
+                groups = apart
+        if not left:
+            return len(groups)
+        if len(left) == len(pending):
+            return None
+        pending = left
+
+
 def _bit_list(x: int) -> list[int]:
     """Positions of the set bits of x, ascending."""
     out = []
@@ -557,28 +628,29 @@ def _classes(mask: int, r: int, s: int) -> tuple[int, list[int]]:
     one per negative-slot mask inside its co-tree, and the nonzero span of
     ``basis`` is the set of its admissible ones.
 
-    A graph with a full row or a full column carries no admissible class.
-    Switch the columns so that a full row is all positive: every 4-cycle
-    through it forces each other row's edges to one sign, and switching
-    that row makes them positive (a full column likewise).  Its non-
-    isolated vertices form one component, so k = m - (r + s) + 1 + the
-    isolated vertices, with no co-tree or parity system.  The rows are
-    tested, not a minimum's shape: the full-cube scan and the sampler
-    pass arbitrary masks through here.
+    A graph whose rows are all absorbed (see ``_absorbed``) carries no
+    admissible class, and its p components on its m edges and n'
+    non-isolated vertices give k = m - n' + p, with no co-tree or parity
+    system.  Only the graphs absorption leaves undecided pay for those.
+    A full row or a full column is tested first, for it is cheap: it
+    absorbs every row into one component.  The rows are tested, not a
+    minimum's shape: the full-cube scan and the sampler pass arbitrary
+    masks through here.
     """
     rows = _rows_of(mask, r, s)
     full = (1 << s) - 1
     common = full  # the columns every row holds
     for row in rows:
         if row == full:
+            parts = 1
             break
         common &= row
     else:
-        if not common:
+        parts = 1 if common else _absorbed(rows)
+        if parts is None:
             cotree = _cotree(rows, s)
-            return cotree.bit_count(), _admissible_basis(rows, s, cotree) if cotree else []
-    isolated = rows.count(0) + s - reduce(or_, rows).bit_count()
-    return mask.bit_count() - (r + s) + 1 + isolated, []
+            return cotree.bit_count(), _admissible_basis(rows, s, cotree)
+    return mask.bit_count() - (r - rows.count(0)) - reduce(or_, rows).bit_count() + parts, []
 
 
 def _scan(
@@ -1033,8 +1105,11 @@ def spot_check_random(
     Per trial an underlying graph is drawn edge-wise fair; the class, a
     negative-slot mask inside the co-tree, is drawn uniformly from the
     nonzero span of its ``_classes`` basis, the admissible classes the
-    exhaustive scans count.  Graphs with no admissible class, those with
-    a full row or a full column among them, are resampled (counted).
+    exhaustive scans count: a draw i in [1, 2^d) picks the XOR of the
+    basis vectors at the set bits of i, the i-th vector ``_span`` lists.
+    Graphs with no admissible class are resampled (counted); absorption
+    decides nearly all of them with no co-tree or parity system (see
+    ``_classes``).
     """
     check_sizes(r, s)
     if trials < 0:
@@ -1053,7 +1128,8 @@ def spot_check_random(
             if basis:
                 break
             resampled += 1
-        neg = _span(basis)[rng.randrange(1, 1 << len(basis))]
+        pick = rng.randrange(1, 1 << len(basis))
+        neg = reduce(xor, (b for j, b in enumerate(basis) if pick >> j & 1))
         g = _signed_graph(r, s, mask, neg)
         if is_balanced(g) or has_negative_c4(g) is not None:
             raise SgraphError(f"sampled class ({mask}, {neg}) is not admissible")

@@ -57,6 +57,28 @@ def random_bipartite_signed_graph(
     return SignedGraph.from_edge_list(r + s, edges)
 
 
+def random_labelled_mask(rng: random.Random, r: int, s: int) -> tuple[int, str | None]:
+    """(mask, plant): an r x s edge mask of random density whose rows and
+    columns are each blanked with chance 0.2, and then a full row or a
+    full column planted, or neither (``plant`` names which)."""
+    full = (1 << s) - 1
+    column = sum(1 << a * s for a in range(r))
+    density = rng.random()
+    mask = sum(1 << i for i in range(r * s) if rng.random() < density)
+    for a in range(r):
+        if rng.random() < 0.2:
+            mask &= ~(full << a * s)
+    for b in range(s):
+        if rng.random() < 0.2:
+            mask &= ~(column << b)
+    plant = rng.choice(["row", "column", None])
+    if plant == "row":
+        mask |= full << rng.randrange(r) * s
+    elif plant == "column":
+        mask |= column << rng.randrange(s)
+    return mask, plant
+
+
 def brute_is_balanced(g: SignedGraph) -> bool:
     """Balanced iff some switching makes every edge positive (2^n trials,
     fixing vertex 0 out of the switch set since U and its complement act

@@ -23,7 +23,7 @@ from sgraph import (
     switching_equivalent,
     switching_isomorphic,
 )
-from sgraph.core import underlying_positive
+from sgraph.core import component_count, underlying_positive
 from sgraph.spectral import graph_spectrum
 from sgraph.errors import BadParamsError, BudgetExceededError, SgraphError
 from sgraph.extremal import bound_fixed_sizes, check_sizes, extremal_graph
@@ -31,6 +31,7 @@ from sgraph import extremal, search
 from sgraph.search import (
     CONFIRMED,
     SearchSpace,
+    _absorbed,
     _classes,
     _cotree,
     _gf2_nullspace_basis,
@@ -47,7 +48,13 @@ from sgraph.search import (
     verify_fixed_sizes,
 )
 
-from helpers import polya_orbit_counts, reference_cotree, reference_minimal_masks
+from helpers import (
+    brute_is_balanced,
+    polya_orbit_counts,
+    random_labelled_mask,
+    reference_cotree,
+    reference_minimal_masks,
+)
 
 
 def brute_admissible_class_count(r: int, s: int) -> int:
@@ -419,31 +426,104 @@ class TestOrbitMinima:
             assert stats.pruned == sum(below)
             assert stats.eigensolved == len(below) - sum(below)
 
-    @pytest.mark.parametrize(
-        "r,s",
-        [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6)],
-    )
+    # size: (minima that absorption decides, those with a full row or a
+    # full column); absorption decides every minimum with no admissible
+    # class at these sizes
+    ABSORBED = {
+        (3, 3): (35, 19),
+        (3, 4): (84, 45),
+        (3, 5): (181, 99),
+        (3, 6): (363, 206),
+        (3, 7): (683, 406),
+        (4, 4): (295, 138),
+        (4, 5): (943, 420),
+        (4, 6): (2811, 1249),
+        (5, 5): (4713, 1789),
+        (5, 6): (22704, 7821),
+    }
+
+    @pytest.mark.parametrize("r,s", list(ABSORBED))
     def test_full_row_or_column_counted_in_closed_form(self, r, s):
-        """A full row or a full column dominates every other vertex on its
-        side, so its graph carries no admissible class, and _scan counts
-        it without a co-tree.  Each such minimum is checked against the
+        """Every minimum that absorption decides, every one with a full
+        row or a full column among them, carries no admissible class, and
+        _scan counts it without a co-tree.  Each is checked against the
         co-tree and the parity system: no basis vector, and 2^k classes
-        with k the co-tree's size, all but the balanced one skipped."""
+        with k the co-tree's size, all but the balanced one skipped.  The
+        minima absorption leaves undecided all carry an admissible class."""
         full = (1 << s) - 1
-        closed_form = 0
+        absorbed = fulls = 0
         for mask, _ in all_minima(r, s):
             rows = search._rows_of(mask, r, s)
-            if full not in rows and not reduce(and_, rows):
-                continue
-            closed_form += 1
             cotree = _cotree(rows, s)
-            assert search._admissible_basis(rows, s, cotree) == []
+            basis = search._admissible_basis(rows, s, cotree)
+            if _absorbed(rows) is None:
+                assert full not in rows and not reduce(and_, rows)
+                assert basis
+                continue
+            absorbed += 1
+            fulls += full in rows or reduce(and_, rows) != 0
+            assert basis == []
             stats, found_on = search._scan(r, s, [(mask, 1)])
             assert found_on == []
             assert stats.classes == 1 << cotree.bit_count()
             assert stats.c4_skipped == stats.classes - 1
             assert stats.admissible == 0
-        assert closed_form
+        assert (absorbed, fulls) == self.ABSORBED[r, s]
+
+    @pytest.mark.parametrize("r,s,decided", [(3, 3, 35), (3, 4, 84)])
+    def test_absorbed_minima_have_no_admissible_signing(self, r, s, decided):
+        """Brute force, apart from the co-tree and the parity system: on
+        every minimum that absorption decides, each of the 2^m signings
+        has a negative 4-cycle or is balanced by some switching, and
+        _classes's k is m - n + c, c counting components."""
+        seen = 0
+        for mask, _ in all_minima(r, s):
+            if _absorbed(search._rows_of(mask, r, s)) is None:
+                continue
+            seen += 1
+            k, basis = _classes(mask, r, s)
+            assert basis == []
+            parts = component_count(_signed_graph(r, s, mask, 0))
+            assert k == mask.bit_count() - (r + s) + parts
+            neg = mask
+            while True:
+                g = _signed_graph(r, s, mask, neg)
+                assert has_negative_c4(g) is not None or brute_is_balanced(g)
+                if not neg:
+                    break
+                neg = (neg - 1) & mask
+        assert seen == decided
+
+    def test_absorption_refuses_the_negative_c6_kernel(self):
+        """The 6-cycle, rows 110, 101 and 011, carries one admissible
+        class, its negative signing, and so does every twin blow-up of it
+        (the domination lemma).  Absorption must leave each undecided,
+        whatever the order of its rows and columns."""
+        rng = random.Random(6)
+        kernel = [0b011, 0b101, 0b110]
+        cases = [(kernel, 3)]
+        for _ in range(200):
+            rows = [row for row in kernel for _ in range(rng.randint(1, 3))]
+            cols = [b for b in range(3) for _ in range(rng.randint(1, 3))]
+            rng.shuffle(rows)
+            rng.shuffle(cols)
+            blown = [sum((row >> b & 1) << j for j, b in enumerate(cols)) for row in rows]
+            cases.append((blown, len(cols)))
+        for rows, s in cases:
+            assert _absorbed(rows) is None
+            assert len(_classes(mask_of_rows(rows, s), len(rows), s)[1]) == 1
+
+    @pytest.mark.parametrize("r,s", [(3, 4), (4, 4)])
+    def test_classes_on_every_labelled_mask(self, r, s):
+        """_classes equals the co-tree's size and the parity system's basis
+        on every labelled mask, and absorption decides every mask with no
+        admissible class."""
+        for mask in range(1 << r * s):
+            rows = search._rows_of(mask, r, s)
+            cotree = _cotree(rows, s)
+            basis = search._admissible_basis(rows, s, cotree)
+            assert _classes(mask, r, s) == (cotree.bit_count(), basis)
+            assert (_absorbed(rows) is None) == bool(basis)
 
     @pytest.mark.parametrize("r,s,cases", [(4, 5, 6229), (5, 5, 35208)])
     def test_deleting_a_dominated_vertex_keeps_the_admissible_dimension(self, r, s, cases):
@@ -498,23 +578,9 @@ class TestOrbitMinima:
         a full column may be planted: a full row leaves the blank rows
         isolated, and a full column the blank columns."""
         rng = random.Random(r * 100 + s)
-        full = (1 << s) - 1
-        column = sum(1 << a * s for a in range(r))
         isolated = {"row": 0, "column": 0}
         for _ in range(1000):
-            density = rng.random()
-            mask = sum(1 << i for i in range(r * s) if rng.random() < density)
-            for a in range(r):
-                if rng.random() < 0.2:
-                    mask &= ~(full << a * s)
-            for b in range(s):
-                if rng.random() < 0.2:
-                    mask &= ~(column << b)
-            plant = rng.choice(["row", "column", None])
-            if plant == "row":
-                mask |= full << rng.randrange(r) * s
-            elif plant == "column":
-                mask |= column << rng.randrange(s)
+            mask, plant = random_labelled_mask(rng, r, s)
             rows = search._rows_of(mask, r, s)
             cotree = _cotree(rows, s)
             k, basis = _classes(mask, r, s)
@@ -578,6 +644,21 @@ class TestOrbitMinima:
         assert len(rhos) == len(classes) > 50
         for ac, rho in zip(classes, rhos):
             assert abs(rho - graph_spectrum(_signed_graph(3, 4, *ac)).rho) <= 1e-12
+
+    @pytest.mark.parametrize("r,s", [(3, 3), (4, 5), (6, 8), (8, 10)])
+    def test_signed_graph_lists_edges_in_slot_order(self, r, s):
+        """The edges built row by row are the tuple of slot i = a*s + b,
+        (a, r + b, sign), in ascending i, so the sampler's guard and
+        forest_normalize see the same graphs as from a walk over the slots."""
+        rng = random.Random(r * 100 + s)
+        for _ in range(500):
+            mask, _ = random_labelled_mask(rng, r, s)
+            neg = rng.getrandbits(r * s) & mask
+            slots = tuple(
+                (i // s, r + i % s, -1 if neg >> i & 1 else 1)
+                for i in range(r * s) if mask >> i & 1
+            )
+            assert _signed_graph(r, s, mask, neg) == SignedGraph(r + s, slots)
 
     def test_nullspace_basis_ignores_row_order_and_redundancy(self):
         rng = random.Random(5)
