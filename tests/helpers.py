@@ -16,8 +16,8 @@ import random
 from collections import Counter, deque
 from itertools import combinations, permutations
 
-from sgraph import CycleWitness, SignedGraph, relabel, switch
-from sgraph.search import _place
+from sgraph import CycleWitness, SignedGraph, has_negative_c4, is_balanced, relabel, switch
+from sgraph.search import _classes, _place, _signed_graph, _span
 
 
 def random_signed_graph(rng: random.Random, n: int, p: float = 0.45) -> SignedGraph:
@@ -77,6 +77,35 @@ def random_labelled_mask(rng: random.Random, r: int, s: int) -> tuple[int, str |
     elif plant == "column":
         mask |= column << rng.randrange(s)
     return mask, plant
+
+
+def random_class_pairs(rng: random.Random, r: int, s: int) -> list[tuple[int, int]]:
+    """(mask, neg) pairs on one mask, drawn by ``random_labelled_mask`` or
+    edge-wise fair with chance 1/2 each: neg is a random vector of the
+    mask's ``_classes`` span, nonzero when the span is, and a second pair
+    flips one random edge of neg, when the mask has one."""
+    if rng.random() < 0.5:
+        mask, _ = random_labelled_mask(rng, r, s)
+    else:
+        mask = rng.getrandbits(r * s)
+    _, basis = _classes(mask, r, s)
+    neg = _span(basis)[rng.randrange(1, 1 << len(basis)) if basis else 0]
+    pairs = [(mask, neg)]
+    if mask:
+        edges = [i for i in range(r * s) if mask >> i & 1]
+        pairs.append((mask, neg ^ 1 << rng.choice(edges)))
+    return pairs
+
+
+def core_inadmissible(mask: int, neg: int, r: int, s: int) -> str | None:
+    """The clause ``search._inadmissible`` names for a class (mask, neg)
+    with neg inside mask, decided by ``core``'s detectors."""
+    g = _signed_graph(r, s, mask, neg)
+    if has_negative_c4(g) is not None:
+        return "it has a negative 4-cycle"
+    if is_balanced(g):
+        return "it is balanced"
+    return None
 
 
 def brute_is_balanced(g: SignedGraph) -> bool:

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from functools import reduce
 from itertools import combinations_with_replacement, permutations
 from operator import and_
@@ -35,6 +36,7 @@ from sgraph.search import (
     _classes,
     _cotree,
     _gf2_nullspace_basis,
+    _inadmissible,
     _minimal_masks,
     _signed_graph,
     _span,
@@ -50,7 +52,9 @@ from sgraph.search import (
 
 from helpers import (
     brute_is_balanced,
+    core_inadmissible,
     polya_orbit_counts,
+    random_class_pairs,
     random_labelled_mask,
     reference_cotree,
     reference_minimal_masks,
@@ -1032,6 +1036,24 @@ class TestVerdicts:
         assert [c.result for c in cert.per_split] == results
 
 
+def cut_basis(mask, r, s):
+    """A faulty ``_classes``: every edge at column 0 negative, which
+    switching column 0 undoes."""
+    return 1, [mask & sum(1 << a * s for a in range(r))]
+
+
+def one_negative_edge_basis(mask, r, s):
+    """A faulty ``_classes``: one negative edge of K_{r,s}, which lies on
+    4-cycles; any other graph gets no class, so the sampler draws again."""
+    return (1, [1]) if mask == (1 << r * s) - 1 else (0, [])
+
+
+def off_edges_basis(mask, r, s):
+    """A faulty ``_classes``: every slot that is not an edge negative."""
+    holes = ~mask & (1 << r * s) - 1
+    return (1, [holes]) if holes else (0, [])
+
+
 class TestSpotCheck:
     def test_small_space_no_violations(self):
         report = spot_check_random(3, 4, trials=400, seed=7)
@@ -1047,11 +1069,54 @@ class TestSpotCheck:
         with pytest.raises(BadParamsError):
             spot_check_random(3, 3, -1)
 
-    def test_inadmissible_draw_raises(self, monkeypatch):
-        # a detector that sees a negative 4-cycle in every draw
-        monkeypatch.setattr(search, "has_negative_c4", lambda g: g)
-        with pytest.raises(SgraphError, match="not admissible"):
+    @pytest.mark.parametrize(
+        "fault,clause",
+        [
+            (cut_basis, "it is balanced"),
+            (one_negative_edge_basis, "it has a negative 4-cycle"),
+            (off_edges_basis, "it has negative slots off its edges"),
+        ],
+        ids=["balanced", "negative-c4", "off-edges"],
+    )
+    def test_inadmissible_draw_raises(self, monkeypatch, fault, clause):
+        monkeypatch.setattr(search, "_classes", fault)
+        with pytest.raises(SgraphError, match="not admissible") as raised:
             spot_check_random(3, 4, trials=1)
+        assert str(raised.value).endswith(": " + clause)
+
+    @pytest.mark.parametrize("r,s", [(2, 3), (2, 4), (3, 3)])
+    def test_guard_on_every_class(self, r, s):
+        """The sampler's guard names the clause core's detectors decide, on
+        every (mask, neg) with neg inside mask."""
+        for mask in range(1 << r * s):
+            neg = mask
+            while True:
+                assert _inadmissible(mask, neg, r, s) == core_inadmissible(mask, neg, r, s), (mask, neg)
+                if not neg:
+                    break
+                neg = (neg - 1) & mask
+
+    @pytest.mark.parametrize("r,s", [(6, 8), (8, 10)])
+    def test_guard_on_drawn_classes(self, r, s):
+        """The guard against core on classes of the ``_classes`` span and
+        their one-edge flips, where all three answers occur often."""
+        rng = random.Random(r * 100 + s)
+        answers = Counter()
+        for _ in range(2000):
+            for mask, neg in random_class_pairs(rng, r, s):
+                want = core_inadmissible(mask, neg, r, s)
+                assert _inadmissible(mask, neg, r, s) == want, (mask, neg)
+                answers[want] += 1
+        assert len(answers) == 3 and min(answers.values()) > 100, answers
+
+    def test_guard_builds_no_signed_graph(self, monkeypatch):
+        want = spot_check_random(6, 8, 200, seed=5)
+
+        def refuse(*args):
+            raise AssertionError("the sampler built a SignedGraph")
+
+        monkeypatch.setattr(search, "_signed_graph", refuse)
+        assert spot_check_random(6, 8, 200, seed=5) == want
 
     def test_determinism(self):
         a = spot_check_random(4, 4, trials=100, seed=3)
