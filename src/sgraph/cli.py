@@ -8,7 +8,10 @@ the extremal graph), ``bound`` (closed-form bounds), ``verify``
 Exit codes: 0 success or CONFIRMED, 1 REFUTED, 2 parse, usage or I/O
 error, 3 numeric or internal failure (a failed internal check or any
 other exception, such as one raised in a worker), 4 bad parameters,
-5 budget exceeded.  Machine output is JSON (``--csv`` switches the verify
+5 budget exceeded.  ``main`` writes a command's output once, after the
+command finishes, so output that cannot be written (a full device, a
+closed pipe or descriptor 1) exits 2; only argparse writes ``--help``
+itself.  Machine output is JSON (``--csv`` switches the verify
 statistics to CSV); every JSON document carries ``"schema": 1``.
 """
 
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import search, sgio
@@ -56,8 +60,8 @@ EXIT_CODES = (
 )
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps({"schema": 1, **doc}))
+def _json(doc: dict) -> str:
+    return json.dumps({"schema": 1, **doc}) + "\n"
 
 
 def _witness_dict(w: CycleWitness | None) -> dict | None:
@@ -66,14 +70,12 @@ def _witness_dict(w: CycleWitness | None) -> dict | None:
     return {"vertices": list(w.vertices), "sign": w.sign, "length": w.length}
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> tuple[int, str]:
     g = sgio.load(args.path)
-    spec = graph_spectrum(g)
-    _emit(spec.to_json_dict())
-    return EXIT_OK
+    return EXIT_OK, _json(graph_spectrum(g).to_json_dict())
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple[int, str]:
     g = sgio.load(args.path)
     try:
         sides = bipartition(g)
@@ -81,7 +83,7 @@ def _cmd_check(args) -> int:
     except NotBipartiteError as exc:
         bip = {"bipartite": False, "sides": None, "odd_cycle": _witness_dict(exc.witness)}
     neg_cycle = shortest_negative_cycle(g)
-    _emit(
+    return EXIT_OK, _json(
         {
             "n": g.n,
             "m": g.m,
@@ -93,19 +95,17 @@ def _cmd_check(args) -> int:
             "neg_cycle": _witness_dict(neg_cycle),
         }
     )
-    return EXIT_OK
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[int, str]:
     g, _ = extremal_graph(args.r, args.s)
     if args.out == "-":
-        sys.stdout.write(sgio.dumps(g))
-    else:
-        sgio.dump(g, args.out)
-    return EXIT_OK
+        return EXIT_OK, sgio.dumps(g)
+    sgio.dump(g, args.out)
+    return EXIT_OK, ""
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[int, str]:
     # the plain value is the closed form alone; only --json builds the
     # construction for its radius
     sizes = (args.r, args.s)
@@ -116,13 +116,11 @@ def _cmd_bound(args) -> int:
     else:
         raise BadParamsError("give either --n or both --r and --s")
     if args.json:
-        _emit(report(*params).to_json_dict())
-    else:
-        print(repr(bound(*params)))
-    return EXIT_OK
+        return EXIT_OK, _json(report(*params).to_json_dict())
+    return EXIT_OK, repr(bound(*params)) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     if args.mode == "sizes":
         if args.b is None:
             raise BadParamsError("verify sizes takes r and s")
@@ -138,13 +136,11 @@ def _cmd_verify(args) -> int:
             raise BadParamsError("verify order takes a single n")
         cert = search.verify_fixed_order(args.a, jobs=args.jobs, stretch=args.stretch)
         rows = cert.per_split
+    code = EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
     if args.csv:
-        print(search.CSV_HEADER)
-        for row in rows:
-            print(search.certificate_csv_row(row))
-    else:
-        _emit(cert.to_json_dict())
-    return EXIT_OK if cert.verdict == search.CONFIRMED else EXIT_REFUTED
+        lines = [search.CSV_HEADER, *map(search.certificate_csv_row, rows)]
+        return code, "\n".join(lines) + "\n"
+    return code, _json(cert.to_json_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +196,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, text = args.func(args)
+        if text:
+            if sys.stdout is None:  # descriptor 1 was closed at startup
+                raise OSError("standard output is closed")
+            try:
+                sys.stdout.write(text)
+                sys.stdout.flush()
+            except OSError:  # so Python's flush at exit cannot turn 2 into 120
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
+        return code
     except Exception as exc:  # every failure maps to a code, never REFUTED
         if isinstance(exc, (SgraphError, OSError, UnicodeDecodeError)):
             print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ below beta, the square of the closed-form bound; for integer m that is
 exactly m < r*s - r - s (see ``_scan``).
 
 The exhaustive searches find the maximum spectral radius over admissible
-classes, group every class within a tolerance window of the maximum by
+classes, group every class within ``BOUND_TOL`` of the maximum by
 switching isomorphism, and certify against the closed-form bounds.  The
 representative reported for a class is its ``core.forest_normalize`` form,
 so the search's own forest never shows in the output.  A class's masks
@@ -111,8 +111,7 @@ STRETCH_BUDGET = 415_859  # verify order 12
 # by the CPUs and the tasks.
 MINIMA_PER_WORKER = 2_000
 CUBE_BUDGET_RS = 20  # enumerate_admissible walks all 2^(r*s) labelled masks
-WINDOW = 1e-9  # maximizer retention window around the observed max
-BOUND_TOL = 1e-8  # certificate tolerance against the closed-form bound
+BOUND_TOL = 1e-8  # verdict tolerance: maximizers kept, and the max against the bound
 SOLVE_BLOCK = 256  # sampler draws per stacked eigensolve
 
 CONFIRMED = "CONFIRMED"
@@ -978,7 +977,7 @@ def _search_all(spaces: Iterable[SearchSpace]) -> list[SearchResult]:
         # representatives and their order come from core.forest_normalize alone
         normal = []
         for rho, (mask, neg) in zip(rhos, kept):
-            if rho < best - WINDOW:
+            if rho < best - BOUND_TOL:
                 continue
             nf = forest_normalize(_signed_graph(r, s, mask, neg))
             bits = sum(1 << b for b, sign in enumerate(nf.cotree_signs) if sign < 0)
@@ -998,9 +997,9 @@ def _certify(result: SearchResult) -> Certificate:
     """Certify one search against the fixed-sizes bound.
 
     CONFIRMED requires the observed maximum to match the closed-form bound
-    within ``BOUND_TOL``, exactly one maximizer class in the retention
-    window, and that class switching isomorphic to the extremal
-    construction.
+    within ``BOUND_TOL``, exactly one maximizer class within ``BOUND_TOL``
+    of the observed maximum, and that class switching isomorphic to the
+    extremal construction.
     """
     r, s = result.r, result.s
     construction, _ = extremal_graph(r, s)

@@ -646,6 +646,16 @@ class TestRealWorkers:
         assert "RuntimeError: raised in the calling process" in self.failed(capsys)
 
 
+def child_env() -> dict:
+    """The environment for a Python child that imports this sgraph, with
+    PYTHONUNBUFFERED removed so that stdout is buffered as it is by
+    default."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_spawned_workers_print_the_one_job_stdout(capsys):
     """Under the spawn start method (the default on macOS and Windows) the
     children import sgraph afresh and get their tasks pickled; stdout is
@@ -660,11 +670,9 @@ def test_spawned_workers_print_the_one_job_stdout(capsys):
         "    search.MINIMA_PER_WORKER = 1\n"
         "    sys.exit(cli.main(['verify', 'order', '8', '--jobs', '2']))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     spawned = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=50
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True,
+        timeout=50,
     )
     assert spawned.returncode == 0, spawned.stderr
     assert spawned.stdout == run(capsys, "verify", "order", "8")[1]
@@ -689,6 +697,84 @@ class TestIOErrors:
         code, _, err = run(capsys, "construct", "3", "4", str(tmp_path / "no" / "x.sg"))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# refutes every verdict, through the same _certify the search calls
+REFUTE = (
+    "import dataclasses, sys\n"
+    "from sgraph import cli, search\n"
+    "certify = search._certify\n"
+    "search._certify = lambda result: dataclasses.replace(\n"
+    "    certify(result), verdict=search.REFUTED)\n"
+    "sys.exit(cli.main(['verify', 'sizes', '3', '3']))\n"
+)
+
+
+def run_broken(how: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``python args`` with its stdout on /dev/full ("full"), on a
+    pipe whose read end is already closed ("pipe") or closed ("closed")."""
+    redirect = {"full": ">/dev/full", "pipe": "", "closed": ">&-"}[how]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, *args],
+            stdout=write, stderr=subprocess.PIPE, env=child_env(), text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+
+
+BROKEN = [
+    pytest.param("full", marks=pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="no /dev/full")),
+    "pipe",
+    "closed",
+]
+
+
+class TestUnwritableStdout:
+    """Each command's output is written once, by main: output that cannot
+    be written exits 2 with one error line, whatever the verdict, and not
+    120 from the interpreter's flush at exit."""
+
+    @staticmethod
+    def failed(child: subprocess.CompletedProcess) -> None:
+        assert child.returncode == 2, child.stderr
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+        assert "Exception ignored" not in child.stderr
+
+    @pytest.mark.parametrize("how", BROKEN)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "sizes", "3", "3"],
+            ["verify", "order", "8", "--csv"],
+            ["bound", "--r", "3", "--s", "4"],
+            ["check", "G"],
+            ["spectrum", "G"],
+            ["construct", "3", "4", "-"],
+        ],
+        ids=" ".join,
+    )
+    def test_exit_2(self, how, argv, g33_path):
+        argv = [g33_path if a == "G" else a for a in argv]
+        self.failed(run_broken(how, "-m", "sgraph.cli", *argv))
+
+    @pytest.mark.parametrize("how", BROKEN)
+    def test_refuted_exit_2_not_1(self, how):
+        refuted = subprocess.run(
+            [sys.executable, "-c", REFUTE], env=child_env(), capture_output=True,
+            text=True, timeout=60,
+        )
+        assert refuted.returncode == 1 and '"verdict": "REFUTED"' in refuted.stdout
+        self.failed(run_broken(how, "-c", REFUTE))
+
+    def test_construct_to_a_file_needs_no_stdout(self, tmp_path):
+        out = tmp_path / "g.sg"
+        child = run_broken("closed", "-m", "sgraph.cli", "construct", "3", "4", str(out))
+        assert child.returncode == 0 and child.stderr == ""
+        assert sgio.load(out) == extremal_graph(3, 4)[0]
 
 
 class TestByteDeterminism:

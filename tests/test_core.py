@@ -477,6 +477,14 @@ class TestSwitchingIsomorphic:
         assert canonical_key(star) == canonical_key(h)
         assert switching_isomorphic(star, h)
 
+    @pytest.mark.parametrize("n,key", [(0, b"\x00\x00\x00\x00"), (1, b"\x00\x00\x00\x01")])
+    def test_no_vertex_and_one_vertex(self, n, key):
+        """The ordering search's smallest inputs: nothing to place, or one
+        vertex with no row bits."""
+        g = SignedGraph(n, ())
+        assert switching_isomorphism(g, g) == (tuple(range(n)), frozenset())
+        assert canonical_key(g) == key
+
     def test_canonical_key_values_pinned(self):
         """Keys are compared across runs, so their values must not drift:
         the flat bytes of two keys, and the sha256 of the keys of a seeded

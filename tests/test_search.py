@@ -221,14 +221,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("r,s", [(3, 5), (4, 4)])
     def test_prune_matches_float_rule(self, r, s):
         """The integer prune m < beta skips exactly the classes that the
-        float rule sqrt(m) < rho0 - WINDOW skipped, rho0 the construction's
+        float rule sqrt(m) < rho0 - BOUND_TOL skipped, rho0 the construction's
         radius.  At r = 3, beta = 2s - 3 is an integer and m = beta stays."""
         rho0 = graph_spectrum(extremal_graph(r, s)[0]).lambda1
         below = []
         stats = enumerate_admissible(
             SearchSpace(r, s),
             lambda ac: below.append(
-                math.sqrt(ac[0].bit_count()) < rho0 - search.WINDOW
+                math.sqrt(ac[0].bit_count()) < rho0 - search.BOUND_TOL
             ),
         )
         assert stats.pruned == sum(below) > 0
@@ -412,12 +412,12 @@ class TestOrbitMinima:
     def test_weighted_counters_equal_full_cube(self, r, s, float_rule):
         """The orbit-weighted counters equal the full cube's.  The pruned
         case also counts, class by class over the cube, the float rule
-        sqrt(m) < rho0 - WINDOW and checks the weighted prune against it."""
+        sqrt(m) < rho0 - BOUND_TOL and checks the weighted prune against it."""
         space = SearchSpace(r, s)
         below = []
         if float_rule:
             rho0 = graph_spectrum(extremal_graph(r, s)[0]).lambda1
-            floor = rho0 - search.WINDOW
+            floor = rho0 - search.BOUND_TOL
             cube = enumerate_admissible(
                 space,
                 lambda ac: below.append(math.sqrt(ac[0].bit_count()) < floor),

@@ -261,6 +261,15 @@ class TestQuotient:
             adjacency_matrix(g), six_block_partition(3, 3)
         )
 
+    def test_repeated_quotient_eigenvalue_needs_as_many_matches(self, monkeypatch):
+        """Containment is of multisets: [[0, 1], [1, 0]] has the eigenvalue
+        1 once, so a quotient listing it twice is not contained."""
+        a, p = [[0, 1], [1, 0]], VertexPartition.singletons(2)
+        monkeypatch.setattr(spectral, "quotient_eigenvalues", lambda q: [1.0, 1.0])
+        assert not quotient_spectrum_contained(a, p)
+        monkeypatch.setattr(spectral, "quotient_eigenvalues", lambda q: [1.0])
+        assert quotient_spectrum_contained(a, p)
+
     def test_partition_validation(self):
         with pytest.raises(ValueError):
             VertexPartition.from_blocks([(0, 1), (1, 2)])
